@@ -37,6 +37,7 @@ from .catalog import (
 from .decoder import (
     DecodeConfig,
     Hypothesis,
+    InvalidSequence,
     NoCompleteHypothesis,
     Phase,
     Scorer,
@@ -111,8 +112,8 @@ __all__ = [
     "Triplet", "MentionedTriplet", "Diagnostic", "ParseResult", "UnknownId",
     "linearize", "order_triplets", "parse",
     # decoder
-    "Scorer", "Phase", "Hypothesis", "DecodeConfig", "NoCompleteHypothesis",
-    "allowed_tokens", "beam_search", "decode",
+    "Scorer", "Phase", "Hypothesis", "DecodeConfig", "InvalidSequence",
+    "NoCompleteHypothesis", "allowed_tokens", "beam_search", "decode",
     # scorers
     "UniformScorer", "OracleScorer", "TableScorer", "RandomScorer", "NGramScorer",
     "uniform_scorer", "oracle_scorer", "train_ngram",

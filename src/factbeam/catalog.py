@@ -9,10 +9,13 @@ concurrent decoders.
 
 from __future__ import annotations
 
-import sys
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .tokens import Tokenizer
 
@@ -116,41 +119,49 @@ def build_catalog(
 
 
 class TokenTrie:
-    """Immutable prefix trie keyed by token ids.
+    """Immutable prefix trie keyed by token ids, in compressed sparse rows.
 
-    Nodes are integer indices into parallel arrays; node 0 is the root.
-    A node's terminal marker holds the catalog id of the name whose full
-    token sequence ends there (at most one, names being unique).
+    Node i's edges are tokens[offsets[i]:offsets[i + 1]] (int32, ascending)
+    leading to the nodes at the same positions in targets (int32);
+    terminal[i] (int64) is the catalog id of the name ending at node i, or
+    -1. Node 0 is the root. These are the FBTRIE01 artifact's arrays, held
+    as memoryviews so that every element read is a plain Python int.
     """
 
-    __slots__ = ("_children", "_terminal")
+    __slots__ = ("offsets", "tokens", "targets", "terminal", "_names")
 
     ROOT = 0
 
-    def __init__(self, children: list[dict[int, int]], terminal: list[int | None]):
-        self._children = children
-        self._terminal = terminal
+    def __init__(self, offsets, tokens, targets, terminal):
+        self.offsets, self.tokens, self.targets, self.terminal = (
+            memoryview(a).toreadonly() for a in (offsets, tokens, targets, terminal)
+        )
+        self._names = int(np.count_nonzero(np.asarray(terminal) >= 0))
 
     @property
     def node_count(self) -> int:
-        return len(self._children)
+        return len(self.terminal)
 
     def __len__(self) -> int:
-        return sum(1 for t in self._terminal if t is not None)
+        return self._names
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TokenTrie):
             return NotImplemented
-        return self._children == other._children and self._terminal == other._terminal
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def child(self, node: int, token: int) -> int | None:
-        return self._children[node].get(token)
+        hi = self.offsets[node + 1]
+        i = bisect_left(self.tokens, token, self.offsets[node], hi)
+        return self.targets[i] if i < hi and self.tokens[i] == token else None
 
-    def children_of(self, node: int) -> Mapping[int, int]:
-        return self._children[node]
+    def children_of(self, node: int) -> Sequence[int]:
+        """The tokens leaving node, ascending."""
+        return self.tokens[self.offsets[node] : self.offsets[node + 1]]
 
     def terminal_id(self, node: int) -> int | None:
-        return self._terminal[node]
+        t = self.terminal[node]
+        return None if t < 0 else t
 
     def walk(self, prefix: Sequence[int]) -> int:
         """Follow prefix from the root, returning the node index.
@@ -159,60 +170,63 @@ class TokenTrie:
         """
         node = self.ROOT
         for depth, token in enumerate(prefix):
-            nxt = self._children[node].get(token)
+            nxt = self.child(node, token)
             if nxt is None:
-                raise InvalidPrefix(
-                    f"token {token} at position {depth} leaves the trie"
-                )
+                raise InvalidPrefix(f"token {token} at position {depth} leaves the trie")
             node = nxt
         return node
 
     def approx_bytes(self) -> int:
-        """Estimated in-memory footprint of the node arrays."""
-        total = sys.getsizeof(self._children) + sys.getsizeof(self._terminal)
-        for d in self._children:
-            total += sys.getsizeof(d)
-        return total
+        """In-memory size of the node and edge arrays."""
+        return sum(a.nbytes for a in (self.offsets, self.tokens, self.targets, self.terminal))
 
 
 def build_trie(names_with_ids: Iterable[tuple[int, str]], tok: Tokenizer) -> TokenTrie:
-    """Insert every (id, name) pair; names must tokenize uniquely.
+    """Index every (id, name) pair; names must tokenize uniquely.
 
-    Node count never exceeds the total token count over all names plus
-    one (the root). Nodes are renumbered in depth-first sorted-edge
-    order, so the structure depends only on the (id, name) set, never on
-    insertion order.
+    Node count never exceeds the total token count plus one (the root).
+    Nodes are numbered in depth-first sorted-edge order, so the structure
+    depends only on the (id, name) set, never on insertion order: taken in
+    sorted token order, each name adds one node per token past its common
+    prefix with the previous name.
     """
-    children: list[dict[int, int]] = [{}]
-    terminal: list[int | None] = [None]
-    for catalog_id, name in names_with_ids:
-        node = 0
-        for token in tok.encode(name):
-            ch = children[node]
-            nxt = ch.get(token)
-            if nxt is None:
-                nxt = len(children)
-                ch[token] = nxt
-                children.append({})
-                terminal.append(None)
-            node = nxt
-        if terminal[node] is not None:
+    names = sorted((tok.encode(name), catalog_id, name) for catalog_id, name in names_with_ids)
+    parents = array("q")  # parent of node i + 1
+    edge_tokens = array("i")  # token on the edge into node i + 1
+    terminal_nodes = array("q")
+    path = [0]  # path[d]: node at depth d of the previous name
+    prev: list[int] | None = None
+    for tokens, _, name in names:
+        if tokens == prev:
             raise DuplicateName(name, "trie")
-        terminal[node] = catalog_id
-    order = [0] * len(children)  # old index -> canonical index
-    new_children: list[dict[int, int]] = []
-    new_terminal: list[int | None] = []
-    stack = [0]
-    while stack:
-        old = stack.pop()
-        order[old] = len(new_children)
-        new_children.append(children[old])
-        new_terminal.append(terminal[old])
-        for token in sorted(children[old], reverse=True):  # smaller tokens pop first
-            stack.append(children[old][token])
-    for i, ch in enumerate(new_children):
-        new_children[i] = {t: order[n] for t, n in sorted(ch.items())}
-    return TokenTrie(new_children, new_terminal)
+        common = 0
+        for a, b in zip(prev or (), tokens):
+            if a != b:
+                break
+            common += 1
+        del path[common + 1 :]
+        new_nodes = range(len(parents) + 1, len(parents) + 1 + len(tokens) - common)
+        if new_nodes:
+            parents.append(path[-1])  # the first new node hangs off the shared prefix
+            parents.extend(new_nodes[:-1])  # each later one off the node before it
+            edge_tokens.extend(tokens[common:])
+            path.extend(new_nodes)
+        terminal_nodes.append(path[-1])
+        prev = tokens
+    n = len(parents) + 1
+    parent_of = np.frombuffer(parents, dtype=np.int64)
+    # a stable sort by parent keeps each node's edges in ascending token order
+    order = np.argsort(parent_of, kind="stable")
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(parent_of, minlength=n), out=offsets[1:])
+    terminal = np.full(n, -1, dtype=np.int64)
+    terminal[np.frombuffer(terminal_nodes, dtype=np.int64)] = [entry[1] for entry in names]
+    return TokenTrie(
+        offsets,
+        np.frombuffer(edge_tokens, dtype=np.int32)[order],
+        (order + 1).astype(np.int32),
+        terminal,
+    )
 
 
 def allowed_next(
@@ -225,7 +239,7 @@ def allowed_next(
     Raises InvalidPrefix if the prefix is not a path from the root.
     """
     node = trie.walk(prefix)
-    return set(trie.children_of(node).keys()), trie.terminal_id(node)
+    return set(trie.children_of(node)), trie.terminal_id(node)
 
 
 def restrict_relations(

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -200,11 +199,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         ]
         return record
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(run, docs))
-    else:
-        records = [run(doc) for doc in docs]
+    records = [run(doc) for doc in docs]
     out = Path(args.out)
     with _transaction() as written:
         written.append(out)
@@ -221,7 +216,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
                 "allow_empty_set": not args.no_empty_set,
                 "max_triplets": args.max_triplets,
                 "ngram_order": args.ngram_order,
-                "jobs": args.jobs,
             },
             _decode_inputs(args),
             args.seed,
@@ -453,7 +447,6 @@ def cmd_attribute(args: argparse.Namespace) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=1, help="worker threads (decode only)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed, recorded in the manifest")
     p.add_argument("--manifest-out", help="manifest path (default: next to the output)")
 

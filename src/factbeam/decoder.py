@@ -87,6 +87,11 @@ class NoCompleteHypothesis(RuntimeError):
         self.best_partial = best_partial
 
 
+class InvalidSequence(ValueError):
+    """Raised when a finished sequence does not parse against the catalog,
+    as when the tries were built from a different catalog."""
+
+
 def allowed_tokens(
     h: Hypothesis, tries: tuple[TokenTrie, TokenTrie], cfg: DecodeConfig
 ) -> set[int]:
@@ -193,16 +198,21 @@ def decode(
     """Top-k catalog-valid triplet sets for `text` under `scorer`.
 
     Runs beam_search and parses each finished sequence; by construction
-    every sequence parses with zero diagnostics. Each entry carries the
-    raw summed log-probability. Results keep beam order (score
-    descending), so duplicate sets may appear when distinct sequences
-    linearize the same set.
+    every sequence parses with zero diagnostics when the tries were
+    built from `cat`, and InvalidSequence is raised otherwise. Each entry
+    carries the raw summed log-probability. Results keep beam order
+    (score descending), so duplicate sets may appear when distinct
+    sequences linearize the same set.
     """
     if tok is None:
         tok = ByteTokenizer()
     results: list[tuple[frozenset[Triplet], float]] = []
     for h in beam_search(text, scorer, tries, cfg):
         parsed = parse(h.tokens, cat, tok)
-        assert parsed.ok, f"decoder emitted an invalid sequence: {parsed.diagnostics}"
+        if not parsed.ok:
+            raise InvalidSequence(
+                f"decoded sequence does not parse against the catalog "
+                f"(were the tries built from another catalog?): {parsed.diagnostics}"
+            )
         results.append((parsed.triplets, h.log_prob))
     return results

@@ -220,9 +220,12 @@ def read_jsonl(path: str | Path) -> list[dict]:
             if not line:
                 continue
             try:
-                out.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object")
+            out.append(record)
     return out
 
 
@@ -244,29 +247,19 @@ def write_json(path: str | Path, obj) -> None:
 
 def save_trie(trie: TokenTrie, path: str | Path) -> None:
     """Write a byte-deterministic artifact: same trie, same bytes."""
-    n = trie.node_count
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    tokens: list[int] = []
-    targets: list[int] = []
-    terminal = np.full(n, -1, dtype=np.int64)
-    for node in range(n):
-        for token, target in trie.children_of(node).items():
-            tokens.append(token)
-            targets.append(target)
-        offsets[node + 1] = len(tokens)
-        t = trie.terminal_id(node)
-        if t is not None:
-            terminal[node] = t
     with open(path, "wb") as fh:
         fh.write(TRIE_MAGIC)
-        fh.write(struct.pack("<qq", n, len(tokens)))
-        fh.write(offsets.tobytes())
-        fh.write(np.asarray(tokens, dtype=np.int32).tobytes())
-        fh.write(np.asarray(targets, dtype=np.int32).tobytes())
-        fh.write(terminal.tobytes())
+        fh.write(struct.pack("<qq", trie.node_count, len(trie.tokens)))
+        for arr in (trie.offsets, trie.tokens, trie.targets, trie.terminal):
+            fh.write(arr)
 
 
 def load_trie(path: str | Path) -> TokenTrie:
+    """Read an artifact, checking every invariant the trie relies on.
+
+    The arrays are used as loaded, so a corrupt file is refused here
+    rather than misrouting or crashing a decode later.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[: len(TRIE_MAGIC)] != TRIE_MAGIC:
@@ -274,29 +267,37 @@ def load_trie(path: str | Path) -> TokenTrie:
             f"{path}: not a trie artifact of this tool version "
             f"(expected header {TRIE_MAGIC!r})"
         )
-    pos = len(TRIE_MAGIC)
-    n, n_edges = struct.unpack_from("<qq", data, pos)
-    pos += 16
+    pos = len(TRIE_MAGIC) + 16
+    if len(data) < pos:
+        raise TrieFormatError(f"{path}: truncated trie artifact header")
+    n, n_edges = struct.unpack_from("<qq", data, len(TRIE_MAGIC))
+    if n < 1 or n_edges < 0:
+        raise TrieFormatError(f"{path}: bad node/edge counts {n}/{n_edges}")
+    size = pos + 8 * (n + 1) + 8 * n_edges + 8 * n
+    if len(data) != size:
+        problem = "trailing bytes in" if len(data) > size else "truncated"
+        raise TrieFormatError(f"{path}: {problem} trie artifact ({len(data)} bytes, expected {size})")
+    offsets = np.frombuffer(data, np.int64, n + 1, pos)
+    pos += offsets.nbytes
+    tokens, targets = np.frombuffer(data, np.int32, 2 * n_edges, pos).reshape(2, n_edges)
+    terminal = np.frombuffer(data, np.int64, n, pos + 8 * n_edges)
+    _check_trie_arrays(path, offsets, tokens, targets, terminal)
+    return TokenTrie(offsets, tokens, targets, terminal)
 
-    def take(count: int, dtype) -> np.ndarray:
-        nonlocal pos
-        arr = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
-        pos += arr.nbytes
-        return arr
 
-    offsets = take(n + 1, np.int64)
-    tokens = take(n_edges, np.int32)
-    targets = take(n_edges, np.int32)
-    terminal = take(n, np.int64)
-    if pos != len(data):
-        raise TrieFormatError(f"{path}: trailing bytes in trie artifact")
-    children: list[dict[int, int]] = []
-    for node in range(n):
-        lo, hi = int(offsets[node]), int(offsets[node + 1])
-        children.append(
-            {int(tokens[i]): int(targets[i]) for i in range(lo, hi)}
-        )
-    return TokenTrie(children, [None if t < 0 else int(t) for t in terminal])
+def _check_trie_arrays(path, offsets, tokens, targets, terminal) -> None:
+    n, n_edges = len(terminal), len(tokens)
+    if offsets[0] != 0 or offsets[-1] != n_edges or np.any(np.diff(offsets) < 0):
+        raise TrieFormatError(f"{path}: edge offsets are not a monotone 0..{n_edges} range")
+    if n_edges and (targets.min() < 1 or targets.max() >= n):
+        raise TrieFormatError(f"{path}: edge target outside nodes 1..{n - 1}")
+    node_start = np.zeros(n_edges, dtype=bool)
+    node_start[offsets[:-1][offsets[:-1] < n_edges]] = True
+    if np.any((np.diff(tokens) <= 0) & ~node_start[1:]):
+        raise TrieFormatError(f"{path}: edge tokens not strictly ascending within a node")
+    ids = terminal[terminal >= 0]
+    if np.any(terminal < -1) or len(np.unique(ids)) != len(ids):
+        raise TrieFormatError(f"{path}: terminal ids negative or repeated")
 
 
 def sha256_file(path: str | Path) -> str:

@@ -9,7 +9,9 @@ from factbeam import (
     allowed_next,
     build_catalog,
     build_trie,
+    load_trie,
     restrict_relations,
+    save_trie,
 )
 from factbeam.tokens import ByteTokenizer
 
@@ -131,6 +133,24 @@ def test_node_count_bound():
         total_tokens = sum(len(enc(n)) for n in names)
         assert trie.node_count <= total_tokens + 1
         assert len(trie) == len(names)
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+def test_trie_queries_return_plain_ints_in_order(tmp_path, loaded):
+    # numpy scalars here would slow every decode step; see TokenTrie
+    names = rand_names(random.Random(7), 60)
+    trie = build_trie(list(enumerate(names)), TOK)
+    if loaded:
+        save_trie(trie, tmp_path / "t.trie")
+        trie = load_trie(tmp_path / "t.trie")
+    assert type(trie.__len__()) is int and len(trie) == len(names)
+    for node in range(trie.node_count):
+        tokens = list(trie.children_of(node))
+        assert tokens == sorted(set(tokens))
+        for token in tokens:
+            assert type(token) is int and type(trie.child(node, token)) is int
+        terminal = trie.terminal_id(node)
+        assert terminal is None or type(terminal) is int
 
 
 def test_allowed_next_matches_brute_force_everywhere():

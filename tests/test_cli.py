@@ -141,28 +141,41 @@ def test_decode_with_prebuilt_tries_matches(tmp_path, catalog_files):
     assert out2.read_bytes() == direct
 
 
-def test_decode_jobs_deterministic(tmp_path, catalog_files):
-    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
-    rc1, out1 = run_decode(tmp_path, catalog_files, gold, ["--scorer", "random", "-k", "2"])
-    serial = out1.read_bytes()
-    out2 = tmp_path / "pred2.jsonl"
-    ent, rel = catalog_files
-    rc2 = main(
-        [
-            "decode", "--input", gold, "--entities", ent, "--relations", rel,
-            "--scorer", "random", "-k", "2", "--jobs", "3", "--out", str(out2),
-        ]
-    )
-    assert rc1 == rc2 == 0
-    assert out2.read_bytes() == serial
-
-
 def test_decode_bad_scorer_spec(tmp_path, catalog_files, capsys):
     gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
     rc, out = run_decode(tmp_path, catalog_files, gold, ["--scorer", "gpt"])
     assert rc == 1
     assert "scorer spec" in capsys.readouterr().err
     assert not out.exists()
+
+
+def assert_clean_failure(rc, capsys, out, message):
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "factbeam: error:" in err and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_decode_tries_from_other_catalog(tmp_path, catalog_files, capsys):
+    ent, rel = catalog_files
+    other = tmp_path / "other_entities.tsv"
+    write_catalog_rows(other, ["Seine", "Oslo", "Bern", "Lyon"])
+    tries = tmp_path / "tries"
+    assert main(["build-trie", "--entities", str(other), "--relations", rel, "--out-dir", str(tries)]) == 0
+    docs = docs_file(tmp_path, "docs.jsonl", [{"id": "d1", "input": "The Seine."}])
+    rc, out = run_decode(
+        tmp_path, catalog_files, docs,
+        ["--tries", str(tries), "--scorer", "uniform", "--no-empty-set"],
+    )
+    assert_clean_failure(rc, capsys, out, "does not parse against the catalog")
+
+
+def test_decode_non_object_line(tmp_path, catalog_files, capsys):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text('{"id": "d1", "input": "x"}\n[1, 2]\n', encoding="utf-8")
+    rc, out = run_decode(tmp_path, catalog_files, str(docs), ["--scorer", "uniform"])
+    assert_clean_failure(rc, capsys, out, f"{docs}:2: expected a JSON object")
 
 
 # --- evaluate / buckets ------------------------------------------------------------

@@ -2,7 +2,9 @@ import hashlib
 import json
 import logging
 import random
+import struct
 
+import numpy as np
 import pytest
 
 from factbeam import (
@@ -32,6 +34,7 @@ from factbeam import (
 )
 
 from factbeam import ByteTokenizer
+from factbeam.fileio import TRIE_MAGIC
 
 from helpers import rand_names
 
@@ -295,6 +298,56 @@ def test_trie_truncated(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(ValueError):
+        load_trie(path)
+
+
+def _set(field, index, value):
+    def mutate(arrays):
+        arrays[field][index] = value(arrays) if callable(value) else value
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, match",
+    [
+        (_set("offsets", 0, 1), "edge offsets"),
+        (_set("offsets", 1, lambda a: a["offsets"][2] + 1), "edge offsets"),  # decreases
+        (_set("offsets", -1, lambda a: a["offsets"][-1] + 1), "edge offsets"),  # past n_edges
+        (_set("targets", 0, 0), "edge target"),  # the root is no one's child
+        (_set("targets", 0, lambda a: len(a["terminal"])), "edge target"),
+        (_set("tokens", 1, lambda a: a["tokens"][0]), "not strictly ascending"),  # repeated edge
+        (_set("tokens", 0, lambda a: a["tokens"][1] + 1), "not strictly ascending"),
+        (_set("terminal", 0, -2), "terminal ids"),
+        (_set("terminal", 0, 0), "terminal ids"),  # id 0 already ends at another node
+    ],
+)
+def test_trie_corrupt_arrays(tmp_path, mutate, match):
+    trie = trie_of(["Rome", "Romeo", "Paris"])
+    arrays = {f: np.array(getattr(trie, f)) for f in ("offsets", "tokens", "targets", "terminal")}
+    mutate(arrays)
+    path = tmp_path / "corrupt.trie"
+    save_trie(TokenTrie(**arrays), path)
+    with pytest.raises(TrieFormatError, match=match):
+        load_trie(path)
+
+
+@pytest.mark.parametrize(
+    "delta_nodes, delta_edges, match",
+    [
+        (-100, 0, "node/edge counts"),
+        (0, -100, "node/edge counts"),
+        (1, 0, "truncated trie"),
+        (0, -1, "trailing bytes"),
+    ],
+)
+def test_trie_bad_header_counts(tmp_path, delta_nodes, delta_edges, match):
+    path = tmp_path / "bad.trie"
+    save_trie(trie_of(["Rome", "Paris"]), path)
+    data = bytearray(path.read_bytes())
+    n, n_edges = struct.unpack_from("<qq", data, len(TRIE_MAGIC))
+    struct.pack_into("<qq", data, len(TRIE_MAGIC), n + delta_nodes, n_edges + delta_edges)
+    path.write_bytes(bytes(data))
+    with pytest.raises(TrieFormatError, match=match):
         load_trie(path)
 
 
