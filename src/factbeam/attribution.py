@@ -112,13 +112,17 @@ def nel_rc_errors(pairs: Iterable[EvalPair]) -> tuple[float, float]:
 
 
 def recall_error(pairs: Iterable[EvalPair]) -> float:
-    """Fraction of gold triplets not matched verbatim (weight > 1)."""
+    """Fraction of gold triplets not matched verbatim (weight > 1).
+
+    `match` takes every weight-1 edge first, so a gold triplet is matched
+    verbatim exactly when it is predicted; the fraction is read from the
+    documents' relation counts without matching.
+    """
     missed = total = 0
     for pair in pairs:
-        for edge in match(pair.gold, pair.predicted).edges:
-            total += 1
-            if edge.weight > 1:
-                missed += 1
+        for _, correct, _, n_gold in pair.relation_counts:
+            missed += n_gold - correct
+            total += n_gold
     return missed / total if total else 0.0
 
 

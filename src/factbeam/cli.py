@@ -1,4 +1,4 @@
-"""Command-line front end: build-trie, decode, evaluate, buckets, attribute.
+"""Command-line front end: build-trie, decode, evaluate, attribute.
 
 Every subcommand is deterministic given (inputs, flags, seed), records a
 run manifest next to its outputs, and removes partial outputs on
@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import __version__
 from .attribution import ner_error, nel_rc_errors, recall_error
-from .catalog import Catalog, CatalogError, build_catalog, build_trie
+from .catalog import Catalog, CatalogError, TokenTrie, build_catalog, build_trie
 from .decoder import DecodeConfig, NoCompleteHypothesis, Scorer, decode
 from .fileio import (
     Document,
@@ -35,7 +35,7 @@ from .fileio import (
     write_jsonl,
 )
 from .linearize import MentionedTriplet, linearize, order_triplets
-from .metrics import EvalPair, PRF, bootstrap_ci, bucketed_f1, macro_scores, micro_scores, per_relation_scores
+from .metrics import EvalPair, PRF, bootstrap_ci, bucketed_f1, macro_scores, micro_scores, score_report
 from .scorers import RandomScorer, oracle_scorer, train_ngram, uniform_scorer
 from .tokens import ByteTokenizer
 
@@ -161,7 +161,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
     tok = ByteTokenizer()
     cat = load_catalog(args.entities, args.relations)
     if args.tries:
-        tries = (load_trie(Path(args.tries) / "entity.trie"), load_trie(Path(args.tries) / "relation.trie"))
+        tries = tuple(
+            _load_catalog_trie(Path(args.tries) / f"{kind}.trie", kind, n_names)
+            for kind, n_names in (("entity", cat.num_entities), ("relation", cat.num_relations))
+        )
     else:
         tries = (
             build_trie(enumerate(cat.entity_names), tok),
@@ -223,6 +226,13 @@ def cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_catalog_trie(path: Path, kind: str, n_names: int) -> TokenTrie:
+    trie = load_trie(path)
+    if len(trie) != n_names:
+        raise ValueError(f"{path}: trie holds {len(trie)} names, the {kind} catalog {n_names}")
+    return trie
+
+
 def _decode_inputs(args: argparse.Namespace) -> dict[str, str]:
     inputs = {"input": args.input, "entities": args.entities, "relations": args.relations}
     _, sep, path = args.scorer.partition(":")
@@ -231,66 +241,47 @@ def _decode_inputs(args: argparse.Namespace) -> dict[str, str]:
     return inputs
 
 
-# --- evaluate / buckets -----------------------------------------------------
+# --- evaluate -----------------------------------------------------------------
 
 
-def _eval_pairs(args: argparse.Namespace, cat: Catalog) -> list[EvalPair]:
+def _eval_pairs(args: argparse.Namespace, cat: Catalog) -> tuple[list[Document], list[EvalPair]]:
+    """The gold documents and one (predicted, gold) pair per gold document."""
     gold_docs = read_documents(args.gold, cat)
     pred_sets = read_prediction_sets(args.pred, cat)
-    pairs = []
-    known = set()
-    for doc in gold_docs:
-        known.add(doc.doc_id)
-        predicted = pred_sets.get(doc.doc_id, frozenset())
-        pairs.append(EvalPair(doc.doc_id, predicted, doc.triplet_set()))
-    extra = set(pred_sets) - known
+    pairs = [
+        EvalPair(doc.doc_id, pred_sets.get(doc.doc_id, frozenset()), doc.triplet_set())
+        for doc in gold_docs
+    ]
+    extra = pred_sets.keys() - {doc.doc_id for doc in gold_docs}
     if extra:
         print(
             f"warning: {len(extra)} predicted document(s) absent from gold, ignored",
             file=sys.stderr,
         )
-    return pairs
+    return gold_docs, pairs
 
 
 def _prf_json(prf: PRF) -> dict:
     return {"p": prf.p, "r": prf.r, "f1": prf.f1, "flags": sorted(prf.flags)}
 
 
-def _bucket_rows(pairs: list[EvalPair], counts: dict[int, int]) -> list[dict]:
-    rows = []
-    for bucket, (f1, n_relations) in sorted(bucketed_f1(pairs, counts).items()):
-        low, high = (2**bucket, 2 ** (bucket + 1) - 1) if bucket >= 0 else (0, 0)
-        rows.append(
-            {
-                "bucket": bucket,
-                "count_low": low,
-                "count_high": high,
-                "f1": f1,
-                "n_relations": n_relations,
-            }
-        )
-    return rows
-
-
-def _write_bucket_table(path: Path, rows: list[dict]) -> None:
+def _write_bucket_table(path: Path, buckets: Mapping[int, tuple[float, int]]) -> None:
+    """One row per bucket: its occurrence-count range, F1 and relation count."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("bucket\tcount_low\tcount_high\tf1\tn_relations\n")
-        for row in rows:
-            fh.write(
-                f"{row['bucket']}\t{row['count_low']}\t{row['count_high']}"
-                f"\t{row['f1']:.6f}\t{row['n_relations']}\n"
-            )
+        for bucket, (f1, n_relations) in sorted(buckets.items()):
+            low, high = (2**bucket, 2 ** (bucket + 1) - 1) if bucket >= 0 else (0, 0)
+            fh.write(f"{bucket}\t{low}\t{high}\t{f1:.6f}\t{n_relations}\n")
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cat = load_catalog(args.entities, args.relations)
-    pairs = _eval_pairs(args, cat)
-    micro = micro_scores(pairs)
-    macro = macro_scores(pairs, cat, args.macro_mode)
+    _, pairs = _eval_pairs(args, cat)
+    scores = score_report(pairs, cat, args.macro_mode)
     report: dict = {
         "n_documents": len(pairs),
-        "micro": _prf_json(micro),
-        "macro": _prf_json(macro),
+        "micro": _prf_json(scores.micro),
+        "macro": _prf_json(scores.macro),
         "per_relation": {
             cat.relation_name(rel): {
                 "p": s.p,
@@ -299,7 +290,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 "support": s.support,
                 "flags": sorted(s.flags),
             }
-            for rel, s in per_relation_scores(pairs, cat).items()
+            for rel, s in scores.per_relation.items()
         },
     }
     if args.bootstrap and pairs:
@@ -319,57 +310,24 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             ),
         }
     inputs = {"gold": args.gold, "pred": args.pred, "entities": args.entities, "relations": args.relations}
-    bucket_rows = None
-    if args.buckets:
-        if not args.counts:
-            raise ValueError("--buckets requires --counts")
-        counts = read_counts(args.counts, cat)
-        bucket_rows = _bucket_rows(pairs, counts)
+    buckets = None
+    if args.counts:
+        buckets = bucketed_f1(pairs, read_counts(args.counts, cat))
         inputs["counts"] = args.counts
     out = Path(args.out)
     with _transaction() as written:
         written.append(out)
         write_json(out, report)
-        if bucket_rows is not None:
+        if buckets is not None:
             table = Path(args.bucket_table) if args.bucket_table else out.with_suffix(".buckets.tsv")
             written.append(table)
-            _write_bucket_table(table, bucket_rows)
+            _write_bucket_table(table, buckets)
         _write_manifest(
             _manifest_path(args, out.with_name(out.name + ".manifest.json")),
             written,
             "evaluate",
-            {
-                "macro_mode": args.macro_mode,
-                "bootstrap": args.bootstrap,
-                "buckets": args.buckets,
-            },
+            {"macro_mode": args.macro_mode, "bootstrap": args.bootstrap},
             inputs,
-            args.seed,
-        )
-    return 0
-
-
-def cmd_buckets(args: argparse.Namespace) -> int:
-    cat = load_catalog(args.entities, args.relations)
-    pairs = _eval_pairs(args, cat)
-    counts = read_counts(args.counts, cat)
-    rows = _bucket_rows(pairs, counts)
-    out = Path(args.out)
-    with _transaction() as written:
-        written.append(out)
-        _write_bucket_table(out, rows)
-        _write_manifest(
-            _manifest_path(args, out.with_name(out.name + ".manifest.json")),
-            written,
-            "buckets",
-            {},
-            {
-                "gold": args.gold,
-                "pred": args.pred,
-                "entities": args.entities,
-                "relations": args.relations,
-                "counts": args.counts,
-            },
             args.seed,
         )
     return 0
@@ -406,12 +364,7 @@ def cmd_attribute(args: argparse.Namespace) -> int:
         cat = load_catalog(args.entities, args.relations)
     else:
         cat = _implicit_catalog(args.gold, args.pred)
-    gold_docs = read_documents(args.gold, cat)
-    pred_sets = read_prediction_sets(args.pred, cat)
-    pairs = [
-        EvalPair(doc.doc_id, pred_sets.get(doc.doc_id, frozenset()), doc.triplet_set())
-        for doc in gold_docs
-    ]
+    gold_docs, pairs = _eval_pairs(args, cat)
     nel, rc = nel_rc_errors(pairs)
     report: dict = {
         "n_gold_triplets": sum(len(p.gold) for p in pairs),
@@ -493,23 +446,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     _add_catalog_flags(p)
-    p.add_argument("--counts", help="relation occurrence TSV (training split)")
-    p.add_argument("--buckets", action="store_true", help="also write the per-bucket table")
+    p.add_argument(
+        "--counts", help="relation occurrence TSV (training split); also writes the per-bucket table"
+    )
     p.add_argument("--bucket-table", help="bucket table path (default: <out>.buckets.tsv)")
     p.add_argument("--bootstrap", type=int, default=0, metavar="B")
     p.add_argument("--macro-mode", choices=("zero", "exclude"), default="zero")
     p.add_argument("--out", required=True, help="report JSON")
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("buckets", help="per-occurrence-bucket F1 table")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--pred", required=True)
-    _add_catalog_flags(p)
-    p.add_argument("--counts", required=True)
-    p.add_argument("--out", required=True, help="bucket table TSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_buckets)
 
     p = sub.add_parser("attribute", help="NER/NEL/RC recall-error decomposition")
     p.add_argument("--gold", required=True)

@@ -13,7 +13,7 @@ import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -170,10 +170,25 @@ def triplet_to_json(mt: MentionedTriplet, cat: Catalog) -> dict:
     return out
 
 
+def _unique_ids() -> Callable[[dict], None]:
+    """Record check: every record carries an "id", and no id repeats."""
+    seen: set[str] = set()
+
+    def check(record: dict) -> None:
+        if record.get("id") is None:
+            raise ValueError('record has no "id"')
+        doc_id = str(record["id"])
+        if doc_id in seen:
+            raise ValueError(f"duplicate id {doc_id!r}")
+        seen.add(doc_id)
+
+    return check
+
+
 def read_documents(path: str | Path, cat: Catalog) -> list[Document]:
     docs: list[Document] = []
-    for record in read_jsonl(path):
-        doc_id = str(record.get("id"))
+    for record in read_jsonl(path, _unique_ids()):
+        doc_id = str(record["id"])
         triplets = tuple(
             triplet_from_json(obj, cat, doc_id) for obj in record.get("triplets", ())
         )
@@ -187,9 +202,20 @@ def read_prediction_sets(path: str | Path, cat: Catalog) -> dict[str, frozenset[
     Accepts decoder output (records with ranked "candidates") as well as
     plain dataset records (a bare "triplets" list).
     """
+    unique_id = _unique_ids()
+
+    def check(record: dict) -> None:
+        unique_id(record)
+        candidates = record.get("candidates", [])
+        if not isinstance(candidates, list) or not all(
+            isinstance(c, dict) and type(c.get("rank")) is int and isinstance(c.get("triplets"), list)
+            for c in candidates
+        ):
+            raise ValueError('"candidates" must be objects with an integer "rank" and a "triplets" list')
+
     out: dict[str, frozenset[Triplet]] = {}
-    for record in read_jsonl(path):
-        doc_id = str(record.get("id"))
+    for record in read_jsonl(path, check):
+        doc_id = str(record["id"])
         if "candidates" in record:
             candidates = record["candidates"]
             chosen = min(candidates, key=lambda c: c["rank"]) if candidates else None
@@ -205,14 +231,19 @@ def read_prediction_sets(path: str | Path, cat: Catalog) -> dict[str, frozenset[
 def read_mentions(path: str | Path) -> dict[str, list[tuple[int, int]]]:
     """Predicted mention spans per document: {"id", "spans": [[s, e], ...]}."""
     out: dict[str, list[tuple[int, int]]] = {}
-    for record in read_jsonl(path):
-        doc_id = str(record.get("id"))
+    for record in read_jsonl(path, _unique_ids()):
+        doc_id = str(record["id"])
         spans = [_span(s, doc_id) for s in record.get("spans", ())]
         out[doc_id] = [s for s in spans if s is not None]
     return out
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
+def read_jsonl(path: str | Path, check: Callable[[dict], None] | None = None) -> list[dict]:
+    """One JSON object per non-blank line.
+
+    `check`, when given, is called on each record and raises ValueError
+    for a bad one; the error is reported with the record's file:line.
+    """
     out: list[dict] = []
     with open(path, encoding="utf-8", newline="\n") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -225,6 +256,11 @@ def read_jsonl(path: str | Path) -> list[dict]:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object")
+            if check is not None:
+                try:
+                    check(record)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
             out.append(record)
     return out
 

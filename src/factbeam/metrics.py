@@ -4,11 +4,17 @@ buckets, and bootstrap confidence intervals.
 A predicted triplet counts as correct only if it appears verbatim in
 the document's gold set. Micro scores weight every triplet instance
 equally; macro scores weight every relation type equally.
+
+Every score is a reduction of one table: each document's
+(relation, correct, predicted, gold) counts, computed once per
+`EvalPair` and summed over the documents being scored.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -24,6 +30,16 @@ class EvalPair:
     doc_id: str
     predicted: frozenset[Triplet]
     gold: frozenset[Triplet]
+
+    @cached_property
+    def relation_counts(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(relation, correct, n_pred, n_gold) per relation occurring in
+        the document, in relation id order."""
+        counts: dict[int, list[int]] = {}
+        for column, triplets in enumerate((self.predicted & self.gold, self.predicted, self.gold)):
+            for t in triplets:
+                counts.setdefault(t.relation, [0, 0, 0])[column] += 1
+        return tuple((rel, *row) for rel, row in sorted(counts.items()))
 
 
 @dataclass(frozen=True)
@@ -75,16 +91,29 @@ def _prf(correct: int, n_pred: int, n_gold: int) -> PRF:
     return PRF(p, r, f1_score(p, r), frozenset(flags))
 
 
+def _relation_totals(pairs: Sequence[EvalPair]) -> dict[int, list[int]]:
+    """relation -> [correct, n_pred, n_gold] summed over the documents."""
+    totals: dict[int, list[int]] = {}
+    for pair in pairs:
+        for rel, correct, n_pred, n_gold in pair.relation_counts:
+            row = totals.get(rel)
+            if row is None:
+                totals[rel] = [correct, n_pred, n_gold]
+            else:
+                row[0] += correct
+                row[1] += n_pred
+                row[2] += n_gold
+    return totals
+
+
 def micro_scores(pairs: Sequence[EvalPair]) -> PRF:
     """(p, r, f1) weighting every triplet instance equally.
 
     p = sum over docs |P & G| / sum |P|; r uses sum |G|. A zero
     denominator yields score 0 with the matching flag set.
     """
-    correct = sum(len(pair.predicted & pair.gold) for pair in pairs)
-    n_pred = sum(len(pair.predicted) for pair in pairs)
-    n_gold = sum(len(pair.gold) for pair in pairs)
-    return _prf(correct, n_pred, n_gold)
+    rows = _relation_totals(pairs).values()
+    return _prf(*(sum(row[i] for row in rows) for i in range(3)))
 
 
 def per_relation_scores(
@@ -94,21 +123,11 @@ def per_relation_scores(
 
     Relations with zero gold and zero predicted triplets are excluded.
     """
-    correct: dict[int, int] = {}
-    n_pred: dict[int, int] = {}
-    n_gold: dict[int, int] = {}
-    for pair in pairs:
-        for t in pair.predicted:
-            n_pred[t.relation] = n_pred.get(t.relation, 0) + 1
-        for t in pair.gold:
-            n_gold[t.relation] = n_gold.get(t.relation, 0) + 1
-        for t in pair.predicted & pair.gold:
-            correct[t.relation] = correct.get(t.relation, 0) + 1
     out: dict[int, RelationScore] = {}
-    for rel in sorted(n_pred.keys() | n_gold.keys()):
+    for rel, (correct, n_pred, n_gold) in sorted(_relation_totals(pairs).items()):
         cat.relation_name(rel)  # KeyError on ungrounded relation id
-        prf = _prf(correct.get(rel, 0), n_pred.get(rel, 0), n_gold.get(rel, 0))
-        out[rel] = RelationScore(prf.p, prf.r, prf.f1, n_gold.get(rel, 0), prf.flags)
+        prf = _prf(correct, n_pred, n_gold)
+        out[rel] = RelationScore(prf.p, prf.r, prf.f1, n_gold, prf.flags)
     return out
 
 
@@ -124,9 +143,12 @@ def macro_scores(
     relations from the affected average instead. f1 is the harmonic
     mean of the averaged p and r.
     """
+    return _macro(per_relation_scores(pairs, cat), zero_denominator)
+
+
+def _macro(per_rel: Mapping[int, RelationScore], zero_denominator: str) -> PRF:
     if zero_denominator not in ("zero", "exclude"):
         raise ValueError("zero_denominator must be 'zero' or 'exclude'")
-    per_rel = per_relation_scores(pairs, cat)
     if not per_rel:
         return PRF(0.0, 0.0, 0.0, frozenset({"no_relations"}))
     if zero_denominator == "zero":
@@ -146,10 +168,13 @@ def macro_scores(
 def score_report(
     pairs: Sequence[EvalPair], cat: Catalog, zero_denominator: str = "zero"
 ) -> ScoreReport:
+    """Micro, macro and per-relation scores; the per-relation scores are
+    computed once and macro averages them."""
+    per_rel = per_relation_scores(pairs, cat)
     return ScoreReport(
         micro=micro_scores(pairs),
-        macro=macro_scores(pairs, cat, zero_denominator),
-        per_relation=per_relation_scores(pairs, cat),
+        macro=_macro(per_rel, zero_denominator),
+        per_relation=per_rel,
     )
 
 
@@ -177,26 +202,15 @@ def bucketed_f1(
     triplets in `pairs` are omitted.
     """
     bucket_of = bucket_relations(occurrence_counts)
-    histogram: dict[int, int] = {}
-    for bucket in bucket_of.values():
-        histogram[bucket] = histogram.get(bucket, 0) + 1
-
-    def restrict(ts: frozenset[Triplet], bucket: int) -> frozenset[Triplet]:
-        return frozenset(t for t in ts if bucket_of.get(t.relation, -1) == bucket)
-
-    seen = {
-        bucket_of.get(t.relation, -1)
-        for pair in pairs
-        for t in pair.predicted | pair.gold
+    histogram = Counter(bucket_of.values())
+    sums: dict[int, list[int]] = {}
+    for rel, row in _relation_totals(pairs).items():
+        acc = sums.setdefault(bucket_of.get(rel, -1), [0, 0, 0])
+        for i in range(3):
+            acc[i] += row[i]
+    return {
+        bucket: (_prf(*sums[bucket]).f1, histogram[bucket]) for bucket in sorted(sums)
     }
-    out: dict[int, tuple[float, int]] = {}
-    for bucket in sorted(seen):
-        sub = [
-            EvalPair(p.doc_id, restrict(p.predicted, bucket), restrict(p.gold, bucket))
-            for p in pairs
-        ]
-        out[bucket] = (micro_scores(sub).f1, histogram.get(bucket, 0))
-    return out
 
 
 def bootstrap_ci(

@@ -15,7 +15,14 @@ from factbeam import (
     recall_error,
 )
 
-from helpers import mentioned, oracle_edge_weight, oracle_match, weights_one_to_six_pairs
+from helpers import (
+    mentioned,
+    oracle_edge_weight,
+    oracle_match,
+    rand_catalog,
+    rand_eval_pairs,
+    weights_one_to_six_pairs,
+)
 
 
 def T(s, r, o):
@@ -198,6 +205,17 @@ def test_adding_exact_prediction_fixes_that_gold():
         after = recall_error([pair(pred | {target}, gold)])
         assert after == pytest.approx(before - 1 / len(gold))
     assert checked > 100
+
+
+def test_recall_error_is_share_of_inexact_matches_random():
+    # reference: the share of greedy match edges with weight > 1
+    rng = random.Random(43)
+    for _ in range(1000):
+        cat = rand_catalog(rng, 4, 3)
+        pairs = rand_eval_pairs(rng, cat, rng.randint(0, 5))
+        weights = [e.weight for p in pairs for e in match(p.gold, p.predicted).edges]
+        expected = sum(w > 1 for w in weights) / len(weights) if weights else 0.0
+        assert recall_error(pairs) == expected
 
 
 def test_errors_aggregate_over_documents():

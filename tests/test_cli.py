@@ -160,7 +160,8 @@ def assert_clean_failure(rc, capsys, out, message):
 def test_decode_tries_from_other_catalog(tmp_path, catalog_files, capsys):
     ent, rel = catalog_files
     other = tmp_path / "other_entities.tsv"
-    write_catalog_rows(other, ["Seine", "Oslo", "Bern", "Lyon"])
+    # as many names as the catalog, so only the decoded names give it away
+    write_catalog_rows(other, ["Seine", "Oslo", "Bern"])
     tries = tmp_path / "tries"
     assert main(["build-trie", "--entities", str(other), "--relations", rel, "--out-dir", str(tries)]) == 0
     docs = docs_file(tmp_path, "docs.jsonl", [{"id": "d1", "input": "The Seine."}])
@@ -171,6 +172,21 @@ def test_decode_tries_from_other_catalog(tmp_path, catalog_files, capsys):
     assert_clean_failure(rc, capsys, out, "does not parse against the catalog")
 
 
+def test_decode_tries_name_count_differs(tmp_path, catalog_files, capsys):
+    ent, rel = catalog_files
+    other = tmp_path / "other_entities.tsv"
+    write_catalog_rows(other, ENTITIES[:2])
+    tries = tmp_path / "tries"
+    assert main(["build-trie", "--entities", str(other), "--relations", rel, "--out-dir", str(tries)]) == 0
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    rc, out = run_decode(
+        tmp_path, catalog_files, gold, ["--tries", str(tries), "--scorer", f"oracle:{gold}"]
+    )
+    assert_clean_failure(
+        rc, capsys, out, f"{tries / 'entity.trie'}: trie holds 2 names, the entity catalog 3"
+    )
+
+
 def test_decode_non_object_line(tmp_path, catalog_files, capsys):
     docs = tmp_path / "docs.jsonl"
     docs.write_text('{"id": "d1", "input": "x"}\n[1, 2]\n', encoding="utf-8")
@@ -178,7 +194,7 @@ def test_decode_non_object_line(tmp_path, catalog_files, capsys):
     assert_clean_failure(rc, capsys, out, f"{docs}:2: expected a JSON object")
 
 
-# --- evaluate / buckets ------------------------------------------------------------
+# --- evaluate ---------------------------------------------------------------------
 
 
 def test_evaluate_perfect_predictions(tmp_path, catalog_files):
@@ -277,8 +293,9 @@ def test_buckets_table(tmp_path, catalog_files):
     out = tmp_path / "buckets.tsv"
     assert main(
         [
-            "buckets", "--gold", gold, "--pred", pred, "--entities", ent,
-            "--relations", rel, "--counts", counts_file(tmp_path), "--out", str(out),
+            "evaluate", "--gold", gold, "--pred", pred, "--entities", ent,
+            "--relations", rel, "--counts", counts_file(tmp_path), "--bucket-table", str(out),
+            "--out", str(tmp_path / "report.json"),
         ]
     ) == 0
     lines = out.read_text().splitlines()
@@ -301,23 +318,23 @@ def test_evaluate_with_buckets_flag(tmp_path, catalog_files):
     assert main(
         [
             "evaluate", "--gold", gold, "--pred", gold, "--entities", ent,
-            "--relations", rel, "--buckets", "--counts", counts_file(tmp_path),
+            "--relations", rel, "--counts", counts_file(tmp_path),
             "--out", str(out),
         ]
     ) == 0
     assert (tmp_path / "report.buckets.tsv").exists()
 
 
-def test_evaluate_buckets_requires_counts(tmp_path, catalog_files, capsys):
+def test_buckets_subcommand_removed(tmp_path, catalog_files, capsys):
     ent, rel = catalog_files
     gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
-    out = tmp_path / "report.json"
-    rc = main(
-        ["evaluate", "--gold", gold, "--pred", gold, "--entities", ent, "--relations", rel, "--buckets", "--out", str(out)]
-    )
-    assert rc == 1
-    assert "--counts" in capsys.readouterr().err
-    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["buckets", "--gold", gold, "--pred", gold, "--entities", ent, "--relations", rel,
+             "--counts", counts_file(tmp_path), "--out", str(tmp_path / "buckets.tsv")]
+        )
+    assert exc.value.code == 2
+    assert "invalid choice: 'buckets'" in capsys.readouterr().err
 
 
 # --- attribute -----------------------------------------------------------------------
@@ -406,6 +423,47 @@ def test_missing_input_file_exit_code(tmp_path, catalog_files, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["gold", "pred", "mentions"])
+@pytest.mark.parametrize(
+    "defect, record, message",
+    [
+        ("duplicate", {"id": "d1"}, "duplicate id 'd1'"),
+        ("missing", {"input": "no id"}, 'record has no "id"'),
+    ],
+)
+def test_duplicate_or_missing_id(tmp_path, catalog_files, capsys, kind, defect, record, message):
+    ent, rel = catalog_files
+    files = {
+        "gold": docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS),
+        "pred": docs_file(tmp_path, "pred.jsonl", GOLD_RECORDS),
+        "mentions": docs_file(tmp_path, "mentions.jsonl", [{"id": "d1", "spans": []}]),
+    }
+    bad = tmp_path / f"{kind}.jsonl"
+    bad.write_text(bad.read_text(encoding="utf-8") + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    line = len(bad.read_text(encoding="utf-8").splitlines())
+    out = tmp_path / "attr.json"
+    rc = main(
+        ["attribute", "--gold", files["gold"], "--pred", files["pred"], "--entities", ent,
+         "--relations", rel, "--mentions", files["mentions"], "--out", str(out)]
+    )
+    assert_clean_failure(rc, capsys, out, f"{bad}:{line}: {message}")
+
+
+@pytest.mark.parametrize("candidate", [{"triplets": []}, {"rank": "1", "triplets": []}, {"rank": 1}])
+def test_candidate_without_integer_rank(tmp_path, catalog_files, capsys, candidate):
+    ent, rel = catalog_files
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    pred = docs_file(
+        tmp_path, "pred.jsonl",
+        [{"id": "d1", "candidates": [{"rank": 1, "triplets": []}]}, {"id": "d2", "candidates": [candidate]}],
+    )
+    out = tmp_path / "report.json"
+    rc = main(
+        ["evaluate", "--gold", gold, "--pred", pred, "--entities", ent, "--relations", rel, "--out", str(out)]
+    )
+    assert_clean_failure(rc, capsys, out, f'{pred}:2: "candidates" must be objects with an integer "rank" and a "triplets" list')
+
+
 def test_partial_outputs_removed_on_failure(tmp_path, catalog_files, capsys):
     ent, rel = catalog_files
     gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
@@ -413,7 +471,7 @@ def test_partial_outputs_removed_on_failure(tmp_path, catalog_files, capsys):
     rc = main(
         [
             "evaluate", "--gold", gold, "--pred", gold, "--entities", ent,
-            "--relations", rel, "--buckets", "--counts", counts_file(tmp_path),
+            "--relations", rel, "--counts", counts_file(tmp_path),
             "--bucket-table", str(tmp_path / "no_such_dir" / "buckets.tsv"),
             "--out", str(out),
         ]

@@ -161,6 +161,30 @@ def test_report_f1_is_harmonic_mean_of_its_p_and_r():
             assert s.f1 == pytest.approx(f1_score(s.p, s.r), abs=1e-12)
 
 
+def test_relation_counts_recount_each_relation():
+    rng = random.Random(29)
+    for p in rand_eval_pairs(rng, CAT, 200):
+        def count(ts, rel):
+            return sum(t.relation == rel for t in ts)
+
+        assert p.relation_counts == tuple(
+            (rel, count(p.predicted & p.gold, rel), count(p.predicted, rel), count(p.gold, rel))
+            for rel in sorted({t.relation for t in p.predicted | p.gold})
+        )
+
+
+def test_score_report_equals_separate_scores():
+    rng = random.Random(31)
+    for _ in range(100):
+        cat = rand_catalog(rng, 6, 4)
+        pairs = rand_eval_pairs(rng, cat, rng.randint(0, 8))
+        for mode in ("zero", "exclude"):
+            report = score_report(pairs, cat, mode)
+            assert report.micro == micro_scores(pairs)
+            assert report.macro == macro_scores(pairs, cat, mode)
+            assert report.per_relation == per_relation_scores(pairs, cat)
+
+
 def test_micro_macro_match_rational_oracle():
     rng = random.Random(13)
     for _ in range(100):
