@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .linearize import MentionedTriplet, Triplet
-from .metrics import EvalPair
+from .metrics import EvalPair, count_rows
 
 NEL_WEIGHTS = frozenset({2, 4, 5, 6})
 RC_WEIGHTS = frozenset({3, 4, 6})
@@ -118,12 +118,9 @@ def recall_error(pairs: Iterable[EvalPair]) -> float:
     verbatim exactly when it is predicted; the fraction is read from the
     documents' relation counts without matching.
     """
-    missed = total = 0
-    for pair in pairs:
-        for _, correct, _, n_gold in pair.relation_counts:
-            missed += n_gold - correct
-            total += n_gold
-    return missed / total if total else 0.0
+    rows = count_rows(pairs)
+    correct, total = int(rows[:, 1].sum()), int(rows[:, 3].sum())
+    return (total - correct) / total if total else 0.0
 
 
 def _overlaps(a: Span, b: Span) -> bool:

@@ -30,6 +30,7 @@ from .fileio import (
     save_trie,
     load_trie,
     sha256_file,
+    triplet_lists,
     triplet_to_json,
     write_json,
     write_jsonl,
@@ -275,6 +276,8 @@ def _write_bucket_table(path: Path, buckets: Mapping[int, tuple[float, int]]) ->
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.bucket_table and not args.counts:
+        raise ValueError("--bucket-table needs --counts")
     cat = load_catalog(args.entities, args.relations)
     _, pairs = _eval_pairs(args, cat)
     scores = score_report(pairs, cat, args.macro_mode)
@@ -345,13 +348,8 @@ def _implicit_catalog(gold_path: str, pred_path: str) -> Catalog:
     entities: dict[str, None] = {}
     relations: dict[str, None] = {}
     for path in (gold_path, pred_path):
-        for record in read_jsonl(path):
-            candidates = record.get("candidates")
-            if candidates:
-                triplet_lists = [c.get("triplets", ()) for c in candidates]
-            else:
-                triplet_lists = [record.get("triplets", ())]
-            for triplets in triplet_lists:
+        for lists in read_jsonl(path, triplet_lists):
+            for triplets in lists:
                 for obj in triplets:
                     entities.setdefault(str(obj.get("sub")), None)
                     entities.setdefault(str(obj.get("obj")), None)

@@ -130,9 +130,13 @@ def write_counts(path: str | Path, counts: Mapping[int, int], cat: Catalog) -> N
 def _span(raw, doc_id: str) -> tuple[int, int] | None:
     if raw is None:
         return None
+    message = f"doc {doc_id!r}: span must be a [start, end] pair"
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ValueError(f"doc {doc_id!r}: span must be a [start, end] pair")
-    return int(raw[0]), int(raw[1])
+        raise ValueError(message)
+    try:
+        return int(raw[0]), int(raw[1])
+    except (TypeError, ValueError):
+        raise ValueError(message) from None
 
 
 def triplet_from_json(obj: Mapping, cat: Catalog, doc_id: str) -> MentionedTriplet:
@@ -170,30 +174,55 @@ def triplet_to_json(mt: MentionedTriplet, cat: Catalog) -> dict:
     return out
 
 
-def _unique_ids() -> Callable[[dict], None]:
-    """Record check: every record carries an "id", and no id repeats."""
+def _unique_ids() -> Callable[[dict], str]:
+    """Record check: every record carries an "id", and no id repeats.
+    The check returns the id as a string."""
     seen: set[str] = set()
 
-    def check(record: dict) -> None:
+    def check(record: dict) -> str:
         if record.get("id") is None:
             raise ValueError('record has no "id"')
         doc_id = str(record["id"])
         if doc_id in seen:
             raise ValueError(f"duplicate id {doc_id!r}")
         seen.add(doc_id)
+        return doc_id
 
     return check
 
 
+def _triplet_objects(raw, field: str) -> list:
+    if not isinstance(raw, list) or not all(isinstance(obj, dict) for obj in raw):
+        raise ValueError(f'"{field}" must be a list of triplet objects')
+    return raw
+
+
+def triplet_lists(record: dict) -> list[list]:
+    """The record's lists of triplet objects, checked: one per decoder
+    candidate in rank order when it has "candidates", else its bare
+    "triplets" list (absent: empty)."""
+    if "candidates" not in record:
+        return [_triplet_objects(record.get("triplets", []), "triplets")]
+    candidates = record["candidates"]
+    if not isinstance(candidates, list) or not all(
+        isinstance(c, dict) and type(c.get("rank")) is int and isinstance(c.get("triplets"), list)
+        for c in candidates
+    ):
+        raise ValueError('"candidates" must be objects with an integer "rank" and a "triplets" list')
+    ranked = sorted(candidates, key=lambda c: c["rank"])
+    return [_triplet_objects(c["triplets"], "candidates[].triplets") for c in ranked]
+
+
 def read_documents(path: str | Path, cat: Catalog) -> list[Document]:
-    docs: list[Document] = []
-    for record in read_jsonl(path, _unique_ids()):
-        doc_id = str(record["id"])
-        triplets = tuple(
-            triplet_from_json(obj, cat, doc_id) for obj in record.get("triplets", ())
-        )
-        docs.append(Document(doc_id, record.get("input", ""), triplets))
-    return docs
+    unique_id = _unique_ids()
+
+    def parse(record: dict) -> Document:
+        doc_id = unique_id(record)
+        raw = _triplet_objects(record.get("triplets", []), "triplets")
+        triplets = tuple(triplet_from_json(obj, cat, doc_id) for obj in raw)
+        return Document(doc_id, record.get("input", ""), triplets)
+
+    return read_jsonl(path, parse)
 
 
 def read_prediction_sets(path: str | Path, cat: Catalog) -> dict[str, frozenset[Triplet]]:
@@ -204,47 +233,35 @@ def read_prediction_sets(path: str | Path, cat: Catalog) -> dict[str, frozenset[
     """
     unique_id = _unique_ids()
 
-    def check(record: dict) -> None:
-        unique_id(record)
-        candidates = record.get("candidates", [])
-        if not isinstance(candidates, list) or not all(
-            isinstance(c, dict) and type(c.get("rank")) is int and isinstance(c.get("triplets"), list)
-            for c in candidates
-        ):
-            raise ValueError('"candidates" must be objects with an integer "rank" and a "triplets" list')
+    def parse(record: dict) -> tuple[str, frozenset[Triplet]]:
+        doc_id = unique_id(record)
+        lists = triplet_lists(record)
+        raw = lists[0] if lists else []
+        return doc_id, frozenset(triplet_from_json(obj, cat, doc_id).triplet for obj in raw)
 
-    out: dict[str, frozenset[Triplet]] = {}
-    for record in read_jsonl(path, check):
-        doc_id = str(record["id"])
-        if "candidates" in record:
-            candidates = record["candidates"]
-            chosen = min(candidates, key=lambda c: c["rank"]) if candidates else None
-            raw = chosen["triplets"] if chosen else ()
-        else:
-            raw = record.get("triplets", ())
-        out[doc_id] = frozenset(
-            triplet_from_json(obj, cat, doc_id).triplet for obj in raw
-        )
-    return out
+    return dict(read_jsonl(path, parse))
 
 
 def read_mentions(path: str | Path) -> dict[str, list[tuple[int, int]]]:
     """Predicted mention spans per document: {"id", "spans": [[s, e], ...]}."""
-    out: dict[str, list[tuple[int, int]]] = {}
-    for record in read_jsonl(path, _unique_ids()):
-        doc_id = str(record["id"])
+    unique_id = _unique_ids()
+
+    def parse(record: dict) -> tuple[str, list[tuple[int, int]]]:
+        doc_id = unique_id(record)
         spans = [_span(s, doc_id) for s in record.get("spans", ())]
-        out[doc_id] = [s for s in spans if s is not None]
-    return out
+        return doc_id, [s for s in spans if s is not None]
+
+    return dict(read_jsonl(path, parse))
 
 
-def read_jsonl(path: str | Path, check: Callable[[dict], None] | None = None) -> list[dict]:
+def read_jsonl(path: str | Path, parse: Callable[[dict], object] | None = None) -> list:
     """One JSON object per non-blank line.
 
-    `check`, when given, is called on each record and raises ValueError
-    for a bad one; the error is reported with the record's file:line.
+    `parse`, when given, turns each record into the item returned in its
+    place and raises ValueError for a bad one; the error is reported
+    with the record's file:line.
     """
-    out: list[dict] = []
+    out: list = []
     with open(path, encoding="utf-8", newline="\n") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -256,9 +273,9 @@ def read_jsonl(path: str | Path, check: Callable[[dict], None] | None = None) ->
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object")
-            if check is not None:
+            if parse is not None:
                 try:
-                    check(record)
+                    record = parse(record)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
             out.append(record)

@@ -5,9 +5,12 @@ A predicted triplet counts as correct only if it appears verbatim in
 the document's gold set. Micro scores weight every triplet instance
 equally; macro scores weight every relation type equally.
 
-Every score is a reduction of one table: each document's
-(relation, correct, predicted, gold) counts, computed once per
-`EvalPair` and summed over the documents being scored.
+Every score is a vectorised reduction of one table: each document's
+(relation, correct, predicted, gold) count rows, an int64 array
+computed once per `EvalPair`. The rows of the documents being scored
+are stacked and summed, per relation or overall, so a bootstrap
+resample costs a few array operations rather than a Python loop over
+its triplets.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,14 +35,17 @@ class EvalPair:
     gold: frozenset[Triplet]
 
     @cached_property
-    def relation_counts(self) -> tuple[tuple[int, int, int, int], ...]:
-        """(relation, correct, n_pred, n_gold) per relation occurring in
-        the document, in relation id order."""
+    def relation_counts(self) -> np.ndarray:
+        """Read-only (k, 4) int64 array of (relation, correct, n_pred,
+        n_gold) rows, one per relation occurring in the document, in
+        relation id order."""
         counts: dict[int, list[int]] = {}
-        for column, triplets in enumerate((self.predicted & self.gold, self.predicted, self.gold)):
+        for column, triplets in enumerate((self.predicted & self.gold, self.predicted, self.gold), 1):
             for t in triplets:
-                counts.setdefault(t.relation, [0, 0, 0])[column] += 1
-        return tuple((rel, *row) for rel, row in sorted(counts.items()))
+                counts.setdefault(t.relation, [t.relation, 0, 0, 0])[column] += 1
+        table = np.array(sorted(counts.values()), dtype=np.int64).reshape(-1, 4)
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -91,19 +97,32 @@ def _prf(correct: int, n_pred: int, n_gold: int) -> PRF:
     return PRF(p, r, f1_score(p, r), frozenset(flags))
 
 
-def _relation_totals(pairs: Sequence[EvalPair]) -> dict[int, list[int]]:
-    """relation -> [correct, n_pred, n_gold] summed over the documents."""
-    totals: dict[int, list[int]] = {}
-    for pair in pairs:
-        for rel, correct, n_pred, n_gold in pair.relation_counts:
-            row = totals.get(rel)
-            if row is None:
-                totals[rel] = [correct, n_pred, n_gold]
-            else:
-                row[0] += correct
-                row[1] += n_pred
-                row[2] += n_gold
-    return totals
+_NO_ROWS = np.zeros((0, 4), dtype=np.int64)
+
+
+def count_rows(pairs: Iterable[EvalPair]) -> np.ndarray:
+    """Every document's relation-count rows, stacked."""
+    return np.concatenate([pair.relation_counts for pair in pairs] or [_NO_ROWS])
+
+
+def _relation_totals(pairs: Sequence[EvalPair]) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending relation ids and their (3, k) int64 totals of correct,
+    n_pred and n_gold, summed over the documents."""
+    rows = count_rows(pairs)
+    if not len(rows):
+        return rows[:, 0], rows[:, 1:].T
+    rows = rows[rows[:, 0].argsort()]
+    rels = rows[:, 0]
+    starts = np.flatnonzero(np.r_[True, rels[1:] != rels[:-1]])
+    return rels[starts], np.add.reduceat(rows[:, 1:], starts).T
+
+
+def _check_grounded(rels: np.ndarray, cat: Catalog) -> None:
+    """KeyError naming the smallest relation id outside the catalog;
+    `rels` is ascending."""
+    if len(rels) and (rels[0] < 0 or rels[-1] >= cat.num_relations):
+        bad = rels[0] if rels[0] < 0 else rels[np.searchsorted(rels, cat.num_relations)]
+        cat.relation_name(int(bad))
 
 
 def micro_scores(pairs: Sequence[EvalPair]) -> PRF:
@@ -112,8 +131,8 @@ def micro_scores(pairs: Sequence[EvalPair]) -> PRF:
     p = sum over docs |P & G| / sum |P|; r uses sum |G|. A zero
     denominator yields score 0 with the matching flag set.
     """
-    rows = _relation_totals(pairs).values()
-    return _prf(*(sum(row[i] for row in rows) for i in range(3)))
+    rows = count_rows(pairs)
+    return _prf(*(int(rows[:, column].sum()) for column in (1, 2, 3)))
 
 
 def per_relation_scores(
@@ -123,9 +142,14 @@ def per_relation_scores(
 
     Relations with zero gold and zero predicted triplets are excluded.
     """
+    rels, totals = _relation_totals(pairs)
+    _check_grounded(rels, cat)
+    return _per_relation(rels, totals)
+
+
+def _per_relation(rels: np.ndarray, totals: np.ndarray) -> dict[int, RelationScore]:
     out: dict[int, RelationScore] = {}
-    for rel, (correct, n_pred, n_gold) in sorted(_relation_totals(pairs).items()):
-        cat.relation_name(rel)  # KeyError on ungrounded relation id
+    for rel, (correct, n_pred, n_gold) in zip(rels.tolist(), totals.T.tolist()):
         prf = _prf(correct, n_pred, n_gold)
         out[rel] = RelationScore(prf.p, prf.r, prf.f1, n_gold, prf.flags)
     return out
@@ -143,38 +167,42 @@ def macro_scores(
     relations from the affected average instead. f1 is the harmonic
     mean of the averaged p and r.
     """
-    return _macro(per_relation_scores(pairs, cat), zero_denominator)
+    rels, totals = _relation_totals(pairs)
+    _check_grounded(rels, cat)
+    return _averaged(totals, zero_denominator)
 
 
-def _macro(per_rel: Mapping[int, RelationScore], zero_denominator: str) -> PRF:
+def _averaged(totals: np.ndarray, zero_denominator: str) -> PRF:
+    """Macro PRF of (3, k) per-relation totals."""
     if zero_denominator not in ("zero", "exclude"):
         raise ValueError("zero_denominator must be 'zero' or 'exclude'")
-    if not per_rel:
+    correct, n_pred, n_gold = totals
+    if not len(correct):
         return PRF(0.0, 0.0, 0.0, frozenset({"no_relations"}))
-    if zero_denominator == "zero":
-        ps = [s.p for s in per_rel.values()]
-        rs = [s.r for s in per_rel.values()]
-    else:
-        ps = [s.p for s in per_rel.values() if "no_predictions" not in s.flags]
-        rs = [s.r for s in per_rel.values() if "no_gold" not in s.flags]
-    flags = set()
-    if any("no_predictions" in s.flags for s in per_rel.values()):
-        flags.add("zero_prediction_relations")
-    p = sum(ps) / len(ps) if ps else 0.0
-    r = sum(rs) / len(rs) if rs else 0.0
-    return PRF(p, r, f1_score(p, r), frozenset(flags))
+    predicted, in_gold = n_pred > 0, n_gold > 0
+    ps = np.divide(correct, n_pred, out=np.zeros(len(correct)), where=predicted)
+    rs = np.divide(correct, n_gold, out=np.zeros(len(correct)), where=in_gold)
+    if zero_denominator == "exclude":
+        ps, rs = ps[predicted], rs[in_gold]
+    # Python's sum adds left to right; np.sum's pairwise order would
+    # change the last bits of the averages.
+    p = sum(ps.tolist()) / len(ps) if len(ps) else 0.0
+    r = sum(rs.tolist()) / len(rs) if len(rs) else 0.0
+    flags = frozenset() if predicted.all() else frozenset({"zero_prediction_relations"})
+    return PRF(p, r, f1_score(p, r), flags)
 
 
 def score_report(
     pairs: Sequence[EvalPair], cat: Catalog, zero_denominator: str = "zero"
 ) -> ScoreReport:
-    """Micro, macro and per-relation scores; the per-relation scores are
-    computed once and macro averages them."""
-    per_rel = per_relation_scores(pairs, cat)
+    """Micro, macro and per-relation scores from one set of
+    per-relation totals."""
+    rels, totals = _relation_totals(pairs)
+    _check_grounded(rels, cat)
     return ScoreReport(
-        micro=micro_scores(pairs),
-        macro=_macro(per_rel, zero_denominator),
-        per_relation=per_rel,
+        micro=_prf(*totals.sum(axis=1).tolist()),
+        macro=_averaged(totals, zero_denominator),
+        per_relation=_per_relation(rels, totals),
     )
 
 
@@ -203,8 +231,9 @@ def bucketed_f1(
     """
     bucket_of = bucket_relations(occurrence_counts)
     histogram = Counter(bucket_of.values())
+    rels, totals = _relation_totals(pairs)
     sums: dict[int, list[int]] = {}
-    for rel, row in _relation_totals(pairs).items():
+    for rel, row in zip(rels.tolist(), totals.T.tolist()):
         acc = sums.setdefault(bucket_of.get(rel, -1), [0, 0, 0])
         for i in range(3):
             acc[i] += row[i]
@@ -237,6 +266,6 @@ def bootstrap_ci(
     values = np.empty(B)
     for b in range(B):
         idx = rng.integers(0, n, size=n)
-        values[b] = statistic([pairs[i] for i in idx])
+        values[b] = statistic([pairs[i] for i in idx.tolist()])
     lo, hi = (1.0 - level) / 2.0, (1.0 + level) / 2.0
     return float(np.quantile(values, lo)), float(np.quantile(values, hi))

@@ -6,15 +6,21 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from factbeam import (
+    PRF,
     Catalog,
     EvalPair,
     MentionedTriplet,
+    RelationScore,
+    ScoreReport,
     Triplet,
+    bucket_relations,
     build_catalog,
+    f1_score,
     linearize,
     order_triplets,
 )
@@ -202,6 +208,105 @@ def oracle_macro(pairs: Sequence[EvalPair]) -> tuple[Fraction, Fraction, Fractio
     r = sum(v[1] for v in per_rel.values()) / len(per_rel)
     f1 = 2 * p * r / (p + r) if p + r else Fraction(0)
     return p, r, f1
+
+
+# --- dict-loop reference for the array evaluation core ------------------------
+# The per-document counts and their reductions as plain Python loops over
+# ints; the array code must give equal (not merely close) results.
+
+
+def ref_relation_counts(pair: EvalPair) -> tuple[tuple[int, int, int, int], ...]:
+    """(relation, correct, n_pred, n_gold) per relation in the document."""
+    counts: dict[int, list[int]] = {}
+    for column, triplets in enumerate((pair.predicted & pair.gold, pair.predicted, pair.gold)):
+        for t in triplets:
+            counts.setdefault(t.relation, [0, 0, 0])[column] += 1
+    return tuple((rel, *row) for rel, row in sorted(counts.items()))
+
+
+def _relation_totals(pairs: Sequence[EvalPair]) -> dict[int, list[int]]:
+    """relation -> [correct, n_pred, n_gold] summed over the documents."""
+    totals: dict[int, list[int]] = {}
+    for pair in pairs:
+        for rel, correct, n_pred, n_gold in ref_relation_counts(pair):
+            row = totals.setdefault(rel, [0, 0, 0])
+            row[0] += correct
+            row[1] += n_pred
+            row[2] += n_gold
+    return totals
+
+
+def _prf(correct: int, n_pred: int, n_gold: int) -> PRF:
+    flags = set()
+    if n_pred == 0:
+        flags.add("no_predictions")
+    if n_gold == 0:
+        flags.add("no_gold")
+    p = correct / n_pred if n_pred else 0.0
+    r = correct / n_gold if n_gold else 0.0
+    return PRF(p, r, f1_score(p, r), frozenset(flags))
+
+
+def ref_micro_scores(pairs: Sequence[EvalPair]) -> PRF:
+    rows = _relation_totals(pairs).values()
+    return _prf(*(sum(row[i] for row in rows) for i in range(3)))
+
+
+def ref_per_relation_scores(pairs: Sequence[EvalPair], cat: Catalog) -> dict[int, RelationScore]:
+    out: dict[int, RelationScore] = {}
+    for rel, (correct, n_pred, n_gold) in sorted(_relation_totals(pairs).items()):
+        cat.relation_name(rel)  # KeyError on ungrounded relation id
+        prf = _prf(correct, n_pred, n_gold)
+        out[rel] = RelationScore(prf.p, prf.r, prf.f1, n_gold, prf.flags)
+    return out
+
+
+def _macro(per_rel: Mapping[int, RelationScore], zero_denominator: str) -> PRF:
+    if not per_rel:
+        return PRF(0.0, 0.0, 0.0, frozenset({"no_relations"}))
+    if zero_denominator == "zero":
+        ps = [s.p for s in per_rel.values()]
+        rs = [s.r for s in per_rel.values()]
+    else:
+        ps = [s.p for s in per_rel.values() if "no_predictions" not in s.flags]
+        rs = [s.r for s in per_rel.values() if "no_gold" not in s.flags]
+    flags = set()
+    if any("no_predictions" in s.flags for s in per_rel.values()):
+        flags.add("zero_prediction_relations")
+    p = sum(ps) / len(ps) if ps else 0.0
+    r = sum(rs) / len(rs) if rs else 0.0
+    return PRF(p, r, f1_score(p, r), frozenset(flags))
+
+
+def ref_macro_scores(pairs: Sequence[EvalPair], cat: Catalog, zero_denominator: str = "zero") -> PRF:
+    return _macro(ref_per_relation_scores(pairs, cat), zero_denominator)
+
+
+def ref_score_report(pairs: Sequence[EvalPair], cat: Catalog, zero_denominator: str = "zero") -> ScoreReport:
+    per_rel = ref_per_relation_scores(pairs, cat)
+    return ScoreReport(ref_micro_scores(pairs), _macro(per_rel, zero_denominator), per_rel)
+
+
+def ref_bucketed_f1(
+    pairs: Sequence[EvalPair], occurrence_counts: Mapping[int, int]
+) -> dict[int, tuple[float, int]]:
+    bucket_of = bucket_relations(occurrence_counts)
+    histogram = Counter(bucket_of.values())
+    sums: dict[int, list[int]] = {}
+    for rel, row in _relation_totals(pairs).items():
+        acc = sums.setdefault(bucket_of.get(rel, -1), [0, 0, 0])
+        for i in range(3):
+            acc[i] += row[i]
+    return {bucket: (_prf(*sums[bucket]).f1, histogram[bucket]) for bucket in sorted(sums)}
+
+
+def ref_recall_error(pairs: Sequence[EvalPair]) -> float:
+    missed = total = 0
+    for pair in pairs:
+        for _, correct, _, n_gold in ref_relation_counts(pair):
+            missed += n_gold - correct
+            total += n_gold
+    return missed / total if total else 0.0
 
 
 # --- attribution oracles ------------------------------------------------------

@@ -464,6 +464,64 @@ def test_candidate_without_integer_rank(tmp_path, catalog_files, capsys, candida
     assert_clean_failure(rc, capsys, out, f'{pred}:2: "candidates" must be objects with an integer "rank" and a "triplets" list')
 
 
+BAD_TRIPLETS = '"triplets" must be a list of triplet objects'
+
+
+BAD_TRIPLET_RECORDS = [
+    ({"id": "d4", "triplets": [1]}, BAD_TRIPLETS),
+    ({"id": "d4", "triplets": {"sub": "Rome"}}, BAD_TRIPLETS),
+    ({"id": "d4", "triplets": [{"sub": "Rome", "obj": "Paris"}]}, "doc 'd4': triplet missing 'rel'"),
+    ({"id": "d4", "triplets": [{"sub": "Atlantis", "rel": "crosses", "obj": "Rome"}]},
+     "doc 'd4': entity 'Atlantis' not in catalog"),
+    ({"id": "d4", "triplets": [{"sub": "Rome", "rel": "crosses", "obj": "Paris", "sub_span": [[0], 4]}]},
+     "doc 'd4': span must be a [start, end] pair"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, record, message",
+    [(kind, *case) for kind in ("gold", "pred") for case in BAD_TRIPLET_RECORDS]
+    + [("pred", {"id": "d4", "candidates": [{"rank": 1, "triplets": ["Rome"]}]},
+        '"candidates[].triplets" must be a list of triplet objects')],
+)
+def test_bad_triplet_entries(tmp_path, catalog_files, capsys, kind, record, message):
+    ent, rel = catalog_files
+    files = {
+        "gold": docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS),
+        "pred": docs_file(tmp_path, "pred.jsonl", GOLD_RECORDS),
+    }
+    bad = tmp_path / f"{kind}.jsonl"
+    bad.write_text(bad.read_text(encoding="utf-8") + json.dumps(record) + "\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    rc = main(
+        ["evaluate", "--gold", files["gold"], "--pred", files["pred"], "--entities", ent,
+         "--relations", rel, "--out", str(out)]
+    )
+    assert_clean_failure(rc, capsys, out, f"{bad}:4: {message}")
+
+
+@pytest.mark.parametrize("triplets", [[1], "Rome"])
+def test_attribute_without_catalog_bad_triplets(tmp_path, capsys, triplets):
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    pred = docs_file(tmp_path, "pred.jsonl", [{"id": "d1", "triplets": triplets}])
+    out = tmp_path / "attr.json"
+    rc = main(["attribute", "--gold", gold, "--pred", pred, "--out", str(out)])
+    assert_clean_failure(rc, capsys, out, f"{pred}:1: {BAD_TRIPLETS}")
+
+
+def test_bucket_table_requires_counts(tmp_path, catalog_files, capsys):
+    ent, rel = catalog_files
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    out = tmp_path / "report.json"
+    table = tmp_path / "buckets.tsv"
+    rc = main(
+        ["evaluate", "--gold", gold, "--pred", gold, "--entities", ent, "--relations", rel,
+         "--bucket-table", str(table), "--out", str(out)]
+    )
+    assert_clean_failure(rc, capsys, out, "--bucket-table needs --counts")
+    assert not table.exists()
+
+
 def test_partial_outputs_removed_on_failure(tmp_path, catalog_files, capsys):
     ent, rel = catalog_files
     gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)

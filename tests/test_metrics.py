@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from factbeam import (
@@ -18,7 +19,22 @@ from factbeam import (
     score_report,
 )
 
-from helpers import oracle_macro, oracle_micro, oracle_per_relation, rand_catalog, rand_eval_pairs
+from factbeam import recall_error
+from helpers import (
+    oracle_macro,
+    oracle_micro,
+    oracle_per_relation,
+    rand_catalog,
+    rand_eval_pairs,
+    rand_triplet_set,
+    ref_bucketed_f1,
+    ref_macro_scores,
+    ref_micro_scores,
+    ref_per_relation_scores,
+    ref_recall_error,
+    ref_relation_counts,
+    ref_score_report,
+)
 
 
 def T(s, r, o):
@@ -167,10 +183,13 @@ def test_relation_counts_recount_each_relation():
         def count(ts, rel):
             return sum(t.relation == rel for t in ts)
 
-        assert p.relation_counts == tuple(
-            (rel, count(p.predicted & p.gold, rel), count(p.predicted, rel), count(p.gold, rel))
+        table = p.relation_counts
+        assert table.dtype == np.int64 and table.shape == (len(table), 4)
+        assert not table.flags.writeable
+        assert table.tolist() == [
+            [rel, count(p.predicted & p.gold, rel), count(p.predicted, rel), count(p.gold, rel)]
             for rel in sorted({t.relation for t in p.predicted | p.gold})
-        )
+        ]
 
 
 def test_score_report_equals_separate_scores():
@@ -183,6 +202,67 @@ def test_score_report_equals_separate_scores():
             assert report.micro == micro_scores(pairs)
             assert report.macro == macro_scores(pairs, cat, mode)
             assert report.per_relation == per_relation_scores(pairs, cat)
+
+
+def _reference_corpora(seed: int, trials: int):
+    """Random corpora with an empty corpus first and documents whose
+    predicted or gold set is empty mixed in. Some corpora hold dozens
+    of relations, enough for a pairwise float sum to differ from a
+    left-to-right one."""
+    rng = random.Random(seed)
+    yield CAT, []
+    for _ in range(trials):
+        cat = rand_catalog(rng, 6, rng.choice([4, 8, 60]))
+        pairs = rand_eval_pairs(rng, cat, rng.randint(0, 30))
+        pairs.append(EvalPair("no-pred", frozenset(), rand_triplet_set(rng, cat)))
+        pairs.append(EvalPair("no-gold", rand_triplet_set(rng, cat), frozenset()))
+        pairs.append(EvalPair("empty", frozenset(), frozenset()))
+        rng.shuffle(pairs)
+        yield cat, pairs[: rng.randint(0, len(pairs))]
+
+
+def test_array_core_equals_dict_loop_reference():
+    rng = random.Random(37)
+    for cat, pairs in _reference_corpora(37, 300):
+        for p in pairs:
+            assert p.relation_counts.tolist() == [list(row) for row in ref_relation_counts(p)]
+        assert micro_scores(pairs) == ref_micro_scores(pairs)
+        assert per_relation_scores(pairs, cat) == ref_per_relation_scores(pairs, cat)
+        for mode in ("zero", "exclude"):
+            assert macro_scores(pairs, cat, mode) == ref_macro_scores(pairs, cat, mode)
+            assert score_report(pairs, cat, mode) == ref_score_report(pairs, cat, mode)
+        counts = {
+            rel: rng.choice([0, 1, 3, 8, 40])
+            for rel in range(cat.num_relations)
+            if rng.random() < 0.7
+        }
+        assert bucketed_f1(pairs, counts) == ref_bucketed_f1(pairs, counts)
+        assert recall_error(pairs) == ref_recall_error(pairs)
+
+
+def test_bootstrap_intervals_equal_dict_loop_reference():
+    for cat, pairs in _reference_corpora(41, 12):
+        if not pairs:
+            continue
+        statistics = [(lambda ps: micro_scores(ps).f1, lambda ps: ref_micro_scores(ps).f1)]
+        for mode in ("zero", "exclude"):
+            statistics.append((
+                lambda ps, mode=mode: macro_scores(ps, cat, mode).f1,
+                lambda ps, mode=mode: ref_macro_scores(ps, cat, mode).f1,
+            ))
+        for stat, ref in statistics:
+            assert bootstrap_ci(pairs, stat, B=60, seed=5) == bootstrap_ci(pairs, ref, B=60, seed=5)
+
+
+@pytest.mark.parametrize("rels", [[-1], [5], [2, 99, 7], [-3, 1, 5, -1]])
+def test_ungrounded_relation_id_message_matches_reference(rels):
+    pairs = [pair("a", {T(0, r, 1) for r in rels}, {T(2, 0, 3)})]
+    with pytest.raises(KeyError) as expected:
+        ref_per_relation_scores(pairs, CAT)
+    for score in (per_relation_scores, macro_scores, score_report):
+        with pytest.raises(KeyError) as raised:
+            score(pairs, CAT)
+        assert raised.value.args == expected.value.args
 
 
 def test_micro_macro_match_rational_oracle():
