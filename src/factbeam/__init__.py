@@ -37,6 +37,7 @@ from .catalog import (
 from .decoder import (
     DecodeConfig,
     Hypothesis,
+    InvalidScores,
     InvalidSequence,
     NoCompleteHypothesis,
     Phase,
@@ -44,6 +45,7 @@ from .decoder import (
     allowed_tokens,
     beam_search,
     decode,
+    score_batch,
 )
 from .fileio import (
     Document,
@@ -112,8 +114,8 @@ __all__ = [
     "Triplet", "MentionedTriplet", "Diagnostic", "ParseResult", "UnknownId",
     "linearize", "order_triplets", "parse",
     # decoder
-    "Scorer", "Phase", "Hypothesis", "DecodeConfig", "InvalidSequence",
-    "NoCompleteHypothesis", "allowed_tokens", "beam_search", "decode",
+    "Scorer", "Phase", "Hypothesis", "DecodeConfig", "InvalidScores", "InvalidSequence",
+    "NoCompleteHypothesis", "allowed_tokens", "beam_search", "decode", "score_batch",
     # scorers
     "UniformScorer", "OracleScorer", "TableScorer", "RandomScorer", "NGramScorer",
     "uniform_scorer", "oracle_scorer", "train_ngram",

@@ -10,8 +10,9 @@ finished sequence parses with zero diagnostics.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -27,6 +28,11 @@ class Scorer(Protocol):
     Implementations must be deterministic for fixed (context, prefix)
     and return a full-vocabulary log-prob vector whose exponentials sum
     to 1 within 1e-6.
+
+    A scorer may also offer `next_log_probs_batch(context, prefixes)`,
+    returning a (len(prefixes), vocab_size) array whose row i is
+    bit-identical to `next_log_probs(context, prefixes[i])`; the beam
+    then makes one call per step (see `score_batch`).
     """
 
     vocab_size: int
@@ -92,27 +98,31 @@ class InvalidSequence(ValueError):
     as when the tries were built from a different catalog."""
 
 
+class InvalidScores(ValueError):
+    """Raised when a scorer returns rows of the wrong shape, or NaN for a
+    token the constraints allow."""
+
+
 def allowed_tokens(
     h: Hypothesis, tries: tuple[TokenTrie, TokenTrie], cfg: DecodeConfig
-) -> set[int]:
-    """Tokens that keep `h` a prefix of some valid linearization."""
+) -> list[int]:
+    """Tokens that keep `h` a prefix of some valid linearization, ascending."""
     if h.finished:
         raise ValueError("finished hypothesis cannot be extended")
     entity_trie, relation_trie = tries
     if h.phase is Phase.BOUNDARY:
-        out: set[int] = set()
+        out: list[int] = []
         # a new block is only enterable when both tries can complete it
         can_open = len(entity_trie) > 0 and len(relation_trie) > 0
         if can_open and (cfg.max_triplets is None or h.n_triplets < cfg.max_triplets):
-            out.add(SUB)
+            out.append(SUB)
         if h.n_triplets > 0 or cfg.allow_empty_set:
-            out.add(EOS)
+            out.append(EOS)
         return out
     trie = relation_trie if h.phase is Phase.RELATION else entity_trie
-    assert h.cursor is not None
-    out = set(trie.children_of(h.cursor))
+    out = list(trie.children_of(h.cursor))
     if trie.terminal_id(h.cursor) is not None:
-        out.add(_SEGMENT_CLOSER[h.phase])
+        out.insert(0, _SEGMENT_CLOSER[h.phase])  # special ids lie below every content id
     return out
 
 
@@ -133,8 +143,43 @@ def _extend(
     if token == EOS:
         return Hypothesis(tokens, log_prob, Phase.BOUNDARY, None, h.n_triplets, finished=True)
     trie = relation_trie if h.phase is Phase.RELATION else entity_trie
-    assert h.cursor is not None
     return Hypothesis(tokens, log_prob, h.phase, trie.child(h.cursor, token), h.n_triplets)
+
+
+def score_batch(scorer: Scorer, context: str, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+    """The scorer's log-prob rows for `prefixes`, shape (len(prefixes), V).
+
+    One `next_log_probs_batch` call when the scorer has that method, one
+    `next_log_probs` call per prefix otherwise. Raises InvalidScores when
+    the rows do not have that shape.
+    """
+    expected = (len(prefixes), scorer.vocab_size)
+    batch = getattr(scorer, "next_log_probs_batch", None)
+    if batch is not None:
+        rows = np.asarray(batch(context, prefixes))
+    elif not prefixes:
+        rows = np.empty(expected)
+    else:
+        try:
+            rows = np.stack([scorer.next_log_probs(context, p) for p in prefixes])
+        except ValueError as exc:
+            raise InvalidScores(f"scorer rows differ in shape: {exc}") from None
+    if rows.shape != expected:
+        raise InvalidScores(f"scorer returned shape {rows.shape}, expected {expected}")
+    return rows
+
+
+def _top_k(keys: np.ndarray, k: int, tokens_of: Callable[[int], tuple[int, ...]]) -> list[int]:
+    """Indices of the k entries ranked first by (-key, tokens_of(index))."""
+    n = len(keys)
+    if n <= k:
+        return list(range(n))
+    kth = np.partition(keys, n - k)[n - k]  # the k-th highest key
+    chosen = np.flatnonzero(keys > kth).tolist()
+    tied = np.flatnonzero(keys == kth).tolist()
+    if len(tied) > k - len(chosen):
+        tied = sorted(tied, key=tokens_of)[: k - len(chosen)]
+    return chosen + tied
 
 
 def beam_search(
@@ -146,39 +191,85 @@ def beam_search(
     """Finished hypotheses, best first, under the bi-level constraints.
 
     Standard beam: every live hypothesis expands with every allowed
-    token, then finished and live candidates compete in one pool for the
-    top-k slots, ranked by score (log_prob / len^length_alpha) with ties
+    token, then finished and live candidates compete for the top-k
+    slots, ranked by score (log_prob / len^length_alpha) with ties
     broken by the lexicographically smaller token sequence. Search stops
     when no live hypothesis survives or max_len is reached; unfinished
     hypotheses at max_len are discarded. Disallowed tokens' mass is
     dropped, never renormalized, so ranking reflects the scorer's own
     probabilities restricted to valid sequences.
 
+    Each step is array code. The live hypotheses' rows come from one
+    `score_batch` call; the candidates' scores form one float64 array
+    after the finished hypotheses' scores, and `np.partition` finds the
+    k-th highest. Every candidate above it survives; token sequences are
+    compared only among the candidates whose score equals it, and only
+    survivors become Hypothesis objects. Raises InvalidScores when the
+    scorer's rows have the wrong shape or a score at an allowed token is
+    NaN (-inf is legal).
+
     Raises NoCompleteHypothesis if nothing finishes; the exception
     carries the best partial hypothesis for debugging.
     """
-    k = cfg.beam_size
+    k, alpha = cfg.beam_size, cfg.length_alpha
 
     def sort_key(h: Hypothesis) -> tuple[float, tuple[int, ...]]:
-        return (-h.score(cfg.length_alpha), h.tokens)
+        return (-h.score(alpha), h.tokens)
 
     live: list[Hypothesis] = [Hypothesis()]
     finished: list[Hypothesis] = []
-    for _ in range(cfg.max_len):
+    finished_keys = np.empty(0)
+    for step in range(cfg.max_len):
         if not live:
             break
-        pool = list(finished)
+        parents: list[Hypothesis] = []
+        allowed: list[list[int]] = []
         for h in live:
-            allowed = allowed_tokens(h, tries, cfg)
-            if not allowed:
-                continue
-            log_probs = scorer.next_log_probs(text, h.tokens)
-            for t in sorted(allowed):
-                pool.append(_extend(h, t, float(log_probs[t]), tries))
-        pool.sort(key=sort_key)
-        kept = pool[:k]
-        finished = [h for h in kept if h.finished]
-        live = [h for h in kept if not h.finished]
+            tokens = allowed_tokens(h, tries, cfg)
+            if tokens:
+                parents.append(h)
+                allowed.append(tokens)
+        sizes = [len(tokens) for tokens in allowed]
+        parent = np.repeat(np.arange(len(parents)), sizes)
+        token = np.fromiter(itertools.chain.from_iterable(allowed), np.intp, sum(sizes))
+        lps = np.empty(0)
+        if parents:
+            rows = score_batch(scorer, text, [h.tokens for h in parents])
+            lps = rows[parent, token].astype(np.float64, copy=False)
+        scores = np.fromiter((h.log_prob for h in parents), np.float64, len(parents))[parent] + lps
+        nan = np.flatnonzero(np.isnan(scores))
+        if len(nan):
+            bad = int(nan[0])
+            raise InvalidScores(
+                f"NaN score at step {step} for allowed token {token[bad]} "
+                f"after prefix {parents[parent[bad]].tokens}"
+            )
+        if alpha != 0.0:
+            scores /= (step + 1) ** alpha
+        keys = np.concatenate((finished_keys, scores))
+        n_done = len(finished)
+
+        def tokens_of(i: int) -> tuple[int, ...]:
+            if i < n_done:
+                return finished[i].tokens
+            j = i - n_done
+            return parents[parent[j]].tokens + (int(token[j]),)
+
+        kept = _top_k(keys, k, tokens_of)
+        finished_at, next_finished, next_live = [], [], []
+        for i in kept:
+            if i < n_done:
+                h = finished[i]
+            else:
+                j = i - n_done
+                h = _extend(parents[parent[j]], int(token[j]), float(lps[j]), tries)
+            if h.finished:
+                finished_at.append(i)
+                next_finished.append(h)
+            else:
+                next_live.append(h)
+        finished_keys = keys[finished_at]
+        finished, live = next_finished, next_live
     if not finished:
         best = min(live, key=sort_key) if live else None
         raise NoCompleteHypothesis(

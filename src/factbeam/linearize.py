@@ -22,7 +22,7 @@ class UnknownId(KeyError):
     pass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Triplet:
     """A grounded fact: (subject entity, relation, object entity) ids."""
 

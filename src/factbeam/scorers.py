@@ -3,13 +3,16 @@
 Every scorer satisfies the same contract: ``next_log_probs(context, prefix)``
 returns a vocabulary-sized vector of log-probabilities that exponentiates
 and sums to 1, and identical inputs always produce bitwise-identical
-output. None of these aim at extraction quality; they exist so the
-constrained decoder can be exercised without a neural model.
+output. `NGramScorer` also answers many prefixes in one
+``next_log_probs_batch`` call. None of these aim at extraction quality;
+they exist so the constrained decoder can be exercised without a neural
+model.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from typing import Iterable, Mapping, Sequence
 
@@ -143,41 +146,125 @@ class NGramScorer:
     longest history available, so order 1 is prefix-independent and the
     start of a sequence is still informed. The input context is encoded
     and prepended to the prefix, giving a crude conditional p(y|x).
+
+    The counts form one table, kept as the logs that smoothing needs. Each
+    seen history is packed into an int (its tokens, newest first, as the
+    digits t + 1 of a base V + 1 number, so histories of different lengths
+    never collide) and `_row` maps it to a row r. History r was followed
+    by token `_next[i]` c times, with `_log_count[i]` = log(c + 1), for i
+    in `_indptr[r]:_indptr[r + 1]`, and `_log_total[r]` is
+    log(c(h) + V). The last row has no entries and stands for every
+    unseen history.
     """
 
-    __slots__ = ("n", "vocab_size", "tokenizer", "_counts", "_totals")
+    __slots__ = (
+        "n", "vocab_size", "tokenizer", "_row", "_indptr", "_next", "_log_count", "_log_total"
+    )
 
-    def __init__(self, n: int, tokenizer: Tokenizer) -> None:
+    def __init__(
+        self, n: int, tokenizer: Tokenizer, sequences: Sequence[Sequence[int]] = ()
+    ) -> None:
         if n < 1:
             raise ValueError("order must be >= 1")
         self.n = n
         self.tokenizer = tokenizer
         self.vocab_size = tokenizer.vocab_size
-        self._counts: dict[tuple[int, ...], np.ndarray] = {}
-        self._totals: dict[tuple[int, ...], int] = {}
+        if (self.vocab_size + 1) ** (n - 1) * self.vocab_size > np.iinfo(np.int64).max:
+            raise ValueError(f"order {n} is too high for a {self.vocab_size}-token vocabulary")
+        self._count(sequences)
 
-    def _observe(self, seq: Sequence[int]) -> None:
-        for i, tok in enumerate(seq):
-            if not 0 <= tok < self.vocab_size:
-                raise ValueError(f"token {tok} outside vocabulary")
-            for m in range(min(self.n - 1, i) + 1):
-                hist = tuple(seq[i - m : i])
-                table = self._counts.get(hist)
-                if table is None:
-                    table = self._counts[hist] = np.zeros(self.vocab_size, dtype=np.int64)
-                table[tok] += 1
-                self._totals[hist] = self._totals.get(hist, 0) + 1
+    def _count(self, sequences: Sequence[Sequence[int]]) -> None:
+        """Fill the table with one sort per history length over the packed
+        (history, next token) windows of every sequence."""
+        V, W, h = self.vocab_size, self.vocab_size + 1, self.n - 1
+        for seq in sequences:
+            if len(seq) and not (0 <= min(seq) and max(seq) < V):
+                raise ValueError(f"token {next(t for t in seq if not 0 <= t < V)} outside vocabulary")
+        lens = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+        flat = np.fromiter(
+            itertools.chain.from_iterable(sequences),
+            dtype=np.int16 if V <= np.iinfo(np.int16).max else np.int32,
+            count=int(lens.sum()),
+        )
+        # depth[i]: how many tokens precede position i in its sequence, capped at h
+        depth = np.full(len(flat), h, dtype=np.int8)
+        starts = np.cumsum(lens) - lens
+        for j in range(h):
+            depth[starts[lens > j] + j] = j
+        pairs, counts = [], []
+        for m in range(h + 1):
+            at = depth >= m  # positions with a history of length m
+            # Horner's rule in place: newest history token first, next token last
+            windows = np.zeros(np.count_nonzero(at), dtype=np.int64)
+            for j in range(1, m + 1):
+                windows *= W
+                windows += flat[:-j][at[j:]]
+                windows += 1
+            windows *= V
+            windows += flat[at]
+            windows.sort()
+            first = _run_starts(windows)
+            counts.append(np.diff(first, append=len(windows)))
+            pairs.append(windows[first])
+            del at, windows
+        del flat, depth
+        pair = np.concatenate(pairs)
+        count = np.concatenate(counts)
+        hist = pair // V
+        row_first = _run_starts(hist)
+        self._row = dict(zip(hist[row_first].tolist(), range(len(row_first))))
+        self._indptr = np.append(row_first, [len(pair), len(pair)])
+        self._next = pair % V
+        self._log_count = np.log(count + 1.0)
+        totals = np.add.reduceat(count, row_first).tolist() + [0]
+        self._log_total = np.array([math.log(t + V) for t in totals])
 
     def next_log_probs(self, context: str, prefix: Sequence[int]) -> np.ndarray:
-        full = self.tokenizer.encode(context) + list(prefix)
-        m = min(self.n - 1, len(full))
-        hist = tuple(full[len(full) - m :])
-        counts = self._counts.get(hist)
-        total = self._totals.get(hist, 0)
-        if counts is None:
-            counts = np.zeros(self.vocab_size, dtype=np.int64)
-        # add-one smoothing: (c(h,t) + 1) / (c(h) + V)
-        return np.log(counts + 1.0) - math.log(total + self.vocab_size)
+        return self.next_log_probs_batch(context, [prefix])[0]
+
+    def next_log_probs_batch(
+        self, context: str, prefixes: Sequence[Sequence[int]]
+    ) -> np.ndarray:
+        """One row per prefix, each bit-identical to a single-prefix call."""
+        V, W, h = self.vocab_size, self.vocab_size + 1, self.n - 1
+        ctx = None  # the context's last h tokens, encoded once if some prefix is shorter than h
+        unseen = len(self._log_total) - 1
+        rows = []
+        for prefix in prefixes:
+            if not h:
+                rows.append(self._row.get(0, unseen))
+                continue
+            if len(prefix) >= h:
+                hist = prefix[-h:]
+            else:
+                if ctx is None:
+                    ctx = self.tokenizer.encode(context)[-h:]
+                hist = (ctx + list(prefix))[-h:]
+            key = 0
+            for t in reversed(hist):
+                if not 0 <= t < V:
+                    key = -1  # never a packed key: the history is unseen
+                    break
+                key = key * W + t + 1
+            rows.append(self._row.get(key, unseen))
+        r = np.array(rows, dtype=np.intp)
+        log_total = self._log_total[r]
+        # add-one smoothing: log(c(h,t) + 1) - log(c(h) + V), where log(0 + 1) = 0
+        out = np.empty((len(rows), V))
+        out[:] = (0.0 - log_total)[:, None]
+        lo = self._indptr[r]
+        sizes = self._indptr[r + 1] - lo
+        at = np.arange(sizes.sum()) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+        owner = np.repeat(np.arange(len(rows)), sizes)
+        out[owner, self._next[at]] = self._log_count[at] - log_total[owner]
+        return out
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in `a`."""
+    new = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def train_ngram(
@@ -188,11 +275,7 @@ def train_ngram(
     The corpus must be non-empty. Sequences should already include any
     context tokens the caller wants the model conditioned on.
     """
-    scorer = NGramScorer(n, tokenizer if tokenizer is not None else ByteTokenizer())
-    seen = False
-    for seq in corpus:
-        seen = True
-        scorer._observe(seq)
-    if not seen:
+    sequences = list(corpus)
+    if not sequences:
         raise ValueError("corpus must be non-empty")
-    return scorer
+    return NGramScorer(n, tokenizer if tokenizer is not None else ByteTokenizer(), sequences)

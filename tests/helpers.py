@@ -5,26 +5,34 @@ library code is checked against)."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from factbeam import (
     PRF,
     Catalog,
+    DecodeConfig,
     EvalPair,
+    Hypothesis,
     MentionedTriplet,
+    NoCompleteHypothesis,
+    Phase,
     RelationScore,
     ScoreReport,
     Triplet,
+    allowed_tokens,
     bucket_relations,
     build_catalog,
     f1_score,
     linearize,
     order_triplets,
 )
-from factbeam.tokens import EOS, Tokenizer
+from factbeam.tokens import EOS, ET, OBJ, REL, SUB, Tokenizer
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz "
 
@@ -169,6 +177,90 @@ def oracle_best_sequence(
             best_seq, best_score = seq, score
     assert best_seq is not None
     return best_seq, best_score
+
+
+# --- object-based beam reference ---------------------------------------------
+# The beam step as it was before it became array code: one Hypothesis per
+# allowed token and a full sort of the pool. The array step must give equal
+# (not merely close) hypotheses.
+
+
+def _ref_extend(h: Hypothesis, token: int, lp: float, tries) -> Hypothesis:
+    entity_trie, relation_trie = tries
+    tokens = h.tokens + (token,)
+    log_prob = h.log_prob + lp
+    if token == SUB:
+        return Hypothesis(tokens, log_prob, Phase.SUBJECT, entity_trie.ROOT, h.n_triplets)
+    if token == REL:
+        return Hypothesis(tokens, log_prob, Phase.RELATION, relation_trie.ROOT, h.n_triplets)
+    if token == OBJ:
+        return Hypothesis(tokens, log_prob, Phase.OBJECT, entity_trie.ROOT, h.n_triplets)
+    if token == ET:
+        return Hypothesis(tokens, log_prob, Phase.BOUNDARY, None, h.n_triplets + 1)
+    if token == EOS:
+        return Hypothesis(tokens, log_prob, Phase.BOUNDARY, None, h.n_triplets, finished=True)
+    trie = relation_trie if h.phase is Phase.RELATION else entity_trie
+    return Hypothesis(tokens, log_prob, h.phase, trie.child(h.cursor, token), h.n_triplets)
+
+
+def ref_beam_search(text: str, scorer, tries, cfg: DecodeConfig) -> list[Hypothesis]:
+    """Finished hypotheses, best first, by (-score, tokens)."""
+    k = cfg.beam_size
+
+    def sort_key(h: Hypothesis) -> tuple[float, tuple[int, ...]]:
+        return (-h.score(cfg.length_alpha), h.tokens)
+
+    live: list[Hypothesis] = [Hypothesis()]
+    finished: list[Hypothesis] = []
+    for _ in range(cfg.max_len):
+        if not live:
+            break
+        pool = list(finished)
+        for h in live:
+            allowed = allowed_tokens(h, tries, cfg)
+            if not allowed:
+                continue
+            log_probs = scorer.next_log_probs(text, h.tokens)
+            for t in sorted(allowed):
+                pool.append(_ref_extend(h, t, float(log_probs[t]), tries))
+        pool.sort(key=sort_key)
+        kept = pool[:k]
+        finished = [h for h in kept if h.finished]
+        live = [h for h in kept if not h.finished]
+    if not finished:
+        best = min(live, key=sort_key) if live else None
+        raise NoCompleteHypothesis(f"no sequence finished within max_len={cfg.max_len}", best)
+    return sorted(finished, key=sort_key)
+
+
+# --- dict-count n-gram reference ----------------------------------------------
+
+
+class RefNGram:
+    """The n-gram model as a dict of dense count rows, one per seen history,
+    filled token by token; the array model must give bit-identical rows."""
+
+    def __init__(self, corpus: Sequence[Sequence[int]], n: int, tok: Tokenizer) -> None:
+        self.n = n
+        self.tok = tok
+        self.vocab_size = tok.vocab_size
+        self.counts: dict[tuple[int, ...], np.ndarray] = {}
+        self.totals: dict[tuple[int, ...], int] = {}
+        for seq in corpus:
+            for i, t in enumerate(seq):
+                for m in range(min(n - 1, i) + 1):
+                    hist = tuple(seq[i - m : i])
+                    if hist not in self.counts:
+                        self.counts[hist] = np.zeros(self.vocab_size, dtype=np.int64)
+                    self.counts[hist][t] += 1
+                    self.totals[hist] = self.totals.get(hist, 0) + 1
+
+    def next_log_probs(self, context: str, prefix: Sequence[int]) -> np.ndarray:
+        full = self.tok.encode(context) + list(prefix)
+        m = min(self.n - 1, len(full))
+        hist = tuple(full[len(full) - m :])
+        counts = self.counts.get(hist, np.zeros(self.vocab_size, dtype=np.int64))
+        return np.log(counts + 1.0) - math.log(self.totals.get(hist, 0) + self.vocab_size)
 
 
 # --- metric oracles (exact rational arithmetic) ------------------------------

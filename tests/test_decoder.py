@@ -1,13 +1,17 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from factbeam import (
     DecodeConfig,
     Hypothesis,
+    InvalidScores,
     NoCompleteHypothesis,
     Phase,
     RandomScorer,
+    TableScorer,
     Triplet,
     allowed_tokens,
     beam_search,
@@ -16,7 +20,10 @@ from factbeam import (
     decode,
     linearize,
     oracle_scorer,
+    order_triplets,
     parse,
+    score_batch,
+    train_ngram,
     uniform_scorer,
 )
 from factbeam.tokens import EOS, ET, OBJ, REL, SUB, ByteTokenizer
@@ -26,6 +33,8 @@ from helpers import (
     all_valid_sequences,
     oracle_best_sequence,
     rand_catalog,
+    rand_triplet_set,
+    ref_beam_search,
 )
 
 TOK = ByteTokenizer()
@@ -48,59 +57,56 @@ TRIES = make_tries(CAT)
 
 def test_fresh_boundary_offers_sub_and_eos():
     cfg = DecodeConfig(beam_size=1)
-    assert allowed_tokens(Hypothesis(), TRIES, cfg) == {SUB, EOS}
+    assert allowed_tokens(Hypothesis(), TRIES, cfg) == [SUB, EOS]
 
 
 def test_fresh_boundary_without_empty_set():
     cfg = DecodeConfig(beam_size=1, allow_empty_set=False)
-    assert allowed_tokens(Hypothesis(), TRIES, cfg) == {SUB}
+    assert allowed_tokens(Hypothesis(), TRIES, cfg) == [SUB]
 
 
 def test_boundary_after_triplet_offers_both():
     cfg = DecodeConfig(beam_size=1, allow_empty_set=False)
     h = Hypothesis(tokens=(SUB,), phase=Phase.BOUNDARY, n_triplets=1)
-    assert allowed_tokens(h, TRIES, cfg) == {SUB, EOS}
+    assert allowed_tokens(h, TRIES, cfg) == [SUB, EOS]
 
 
 def test_max_triplets_blocks_new_block():
     cfg = DecodeConfig(beam_size=1, max_triplets=1)
     h = Hypothesis(tokens=(SUB,), phase=Phase.BOUNDARY, n_triplets=1)
-    assert allowed_tokens(h, TRIES, cfg) == {EOS}
+    assert allowed_tokens(h, TRIES, cfg) == [EOS]
 
 
 def test_empty_catalog_boundary_offers_only_eos():
     empty = build_trie([], TOK)
     cfg = DecodeConfig(beam_size=1)
-    assert allowed_tokens(Hypothesis(), (empty, TRIES[1]), cfg) == {EOS}
-    assert allowed_tokens(Hypothesis(), (TRIES[0], empty), cfg) == {EOS}
+    assert allowed_tokens(Hypothesis(), (empty, TRIES[1]), cfg) == [EOS]
+    assert allowed_tokens(Hypothesis(), (TRIES[0], empty), cfg) == [EOS]
 
 
 def test_subject_terminal_offers_continuation_and_closer():
     # cursor at "Rome" in trie over {"Rome", "Romeo"}
     node = TRIES[0].walk(TOK.encode("Rome"))
     h = Hypothesis(tokens=(SUB, *TOK.encode("Rome")), phase=Phase.SUBJECT, cursor=node)
-    assert allowed_tokens(h, TRIES, DecodeConfig(beam_size=1)) == {
-        TOK.encode("o")[0],
-        REL,
-    }
+    assert allowed_tokens(h, TRIES, DecodeConfig(beam_size=1)) == [REL, TOK.encode("o")[0]]
 
 
 def test_object_leaf_offers_only_closer():
     node = TRIES[0].walk(TOK.encode("Romeo"))
     h = Hypothesis(tokens=(), phase=Phase.OBJECT, cursor=node)
-    assert allowed_tokens(h, TRIES, DecodeConfig(beam_size=1)) == {ET}
+    assert allowed_tokens(h, TRIES, DecodeConfig(beam_size=1)) == [ET]
 
 
 def test_relation_terminal_offers_obj():
     node = TRIES[1].walk(TOK.encode("born in"))
     h = Hypothesis(tokens=(), phase=Phase.RELATION, cursor=node)
-    assert allowed_tokens(h, TRIES, DecodeConfig(beam_size=1)) == {OBJ}
+    assert allowed_tokens(h, TRIES, DecodeConfig(beam_size=1)) == [OBJ]
 
 
 def test_mid_name_offers_trie_continuations_only():
     node = TRIES[0].walk(TOK.encode("Ro"))
     h = Hypothesis(tokens=(), phase=Phase.SUBJECT, cursor=node)
-    assert allowed_tokens(h, TRIES, DecodeConfig(beam_size=1)) == {TOK.encode("m")[0]}
+    assert allowed_tokens(h, TRIES, DecodeConfig(beam_size=1)) == [TOK.encode("m")[0]]
 
 
 def test_finished_hypothesis_cannot_extend():
@@ -292,3 +298,117 @@ def test_length_alpha_changes_ranking():
     norm = beam_search("", uniform_scorer(V), tries, DecodeConfig(beam_size=3, max_len=30, max_triplets=1, length_alpha=1.0))
     assert raw[0].tokens == (EOS,)
     assert all(h.score(1.0) == pytest.approx(raw[0].score(1.0)) for h in norm)
+
+
+# --- array step against the object-based reference --------------------------
+
+
+def _tied_table_scorer(rng, cat):
+    """Tables for the prefixes of a few linearizations, built from four
+    weights (0 among them, so -inf entries occur): many equal log-probs,
+    and so many tied scores."""
+    tables = {}
+    for _ in range(3):
+        seq = linearize(order_triplets(rand_triplet_set(rng, cat, 2)), cat, TOK)
+        for i in range(len(seq)):
+            weights = np.array([rng.choice((0.0, 1.0, 2.0, 4.0)) for _ in range(V)])
+            weights[rng.randrange(V)] = 1.0
+            with np.errstate(divide="ignore"):
+                tables[tuple(seq[:i])] = np.log(weights / weights.sum())
+    return TableScorer(tables, V)
+
+
+def _search(search, text, scorer, tries, cfg):
+    try:
+        return search(text, scorer, tries, cfg), None
+    except NoCompleteHypothesis as exc:
+        return None, exc.best_partial
+
+
+def test_array_step_equals_object_reference():
+    rng = random.Random(83)
+    raised = tied = 0
+    for case in range(420):
+        cat = rand_catalog(rng, 4, 3, 1, 3)
+        tries = make_tries(cat)
+        kind = case % 4
+        if kind == 0:
+            scorer = CachingScorer(RandomScorer(rng.randrange(1 << 30), V))
+        elif kind == 1:
+            scorer = uniform_scorer(V)
+        elif kind == 2:
+            scorer = _tied_table_scorer(rng, cat)
+        else:
+            corpus = [
+                TOK.encode("ctx") + linearize(order_triplets(rand_triplet_set(rng, cat, 2)), cat, TOK)
+                for _ in range(5)
+            ]
+            scorer = train_ngram(corpus, n=rng.randint(1, 4), tokenizer=TOK)
+        cfg = DecodeConfig(
+            beam_size=rng.randint(1, 12),
+            max_len=rng.choice((2, 3, 5, 8, 13, 21, 34)),
+            length_alpha=rng.choice((0.0, 0.5, 1.0)),
+            allow_empty_set=rng.random() < 0.5,
+            max_triplets=rng.choice((None, 1, 2)),
+        )
+        got, got_partial = _search(beam_search, "ctx", scorer, tries, cfg)
+        want, want_partial = _search(ref_beam_search, "ctx", scorer, tries, cfg)
+        assert got == want, (case, cfg)
+        assert got_partial == want_partial, (case, cfg)
+        if want is None:
+            raised += 1
+        else:
+            scores = [h.score(cfg.length_alpha) for h in want]
+            tied += len(scores) != len(set(scores))
+    assert raised >= 40 and tied >= 40, (raised, tied)
+
+
+class _NaNScorer:
+    """Uniform, except NaN at one token."""
+
+    vocab_size = V
+
+    def __init__(self, token):
+        self.row = np.full(V, -math.log(V))
+        self.row[token] = np.nan
+
+    def next_log_probs(self, context, prefix):
+        return self.row
+
+
+def test_nan_score_at_allowed_token_raises():
+    cfg = DecodeConfig(beam_size=2, max_len=8)
+    with pytest.raises(InvalidScores, match=rf"step 0 for allowed token {EOS}"):
+        beam_search("", _NaNScorer(EOS), TRIES, cfg)
+    # NaN at a token the constraints never allow is dropped with its mass
+    assert beam_search("", _NaNScorer(V - 1), TRIES, cfg)
+
+
+class _ShapeScorer:
+    vocab_size = V
+
+    def __init__(self, shape, batch):
+        self.shape = shape
+        if batch:
+            self.next_log_probs_batch = lambda context, prefixes: np.zeros((len(prefixes), *shape))
+
+    def next_log_probs(self, context, prefix):
+        return np.zeros(self.shape)
+
+
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("shape", [(V - 1,), (V + 1,), ()])
+def test_wrong_score_shape_raises(shape, batch):
+    with pytest.raises(InvalidScores, match="shape"):
+        beam_search("", _ShapeScorer(shape, batch), TRIES, DecodeConfig(beam_size=2, max_len=8))
+
+
+def test_ragged_score_rows_raise():
+    class Ragged:
+        vocab_size = V
+
+        def next_log_probs(self, context, prefix):
+            return np.zeros(V + len(prefix))
+
+    with pytest.raises(InvalidScores, match="differ in shape"):
+        score_batch(Ragged(), "", [(), (SUB,)])

@@ -14,6 +14,8 @@ from factbeam import (
 )
 from factbeam.tokens import ByteTokenizer
 
+from helpers import RefNGram
+
 TOK = ByteTokenizer()
 V = TOK.vocab_size
 
@@ -164,12 +166,15 @@ def test_ngram_short_history_uses_shorter_orders():
 
 
 def test_ngram_rejects_empty_corpus_and_bad_order():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-empty"):
         train_ngram([], n=2)
     with pytest.raises(ValueError):
         NGramScorer(0, TOK)
-    with pytest.raises(ValueError):
-        train_ngram([[999]], n=2, tokenizer=TOK)  # token outside vocab
+    with pytest.raises(ValueError, match="too high"):
+        NGramScorer(8, TOK)  # 4-token byte histories and the next token overflow int64
+    for bad in (999, -1):
+        with pytest.raises(ValueError, match=f"token {bad} outside vocabulary"):
+            train_ngram([[10, 11], [12, bad, 13]], n=2, tokenizer=TOK)
 
 
 def test_ngram_determinism():
@@ -194,3 +199,38 @@ def test_all_scorers_normalized_everywhere():
         for _ in range(25):
             prefix = [rng.randrange(V) for _ in range(rng.randint(0, 8))]
             assert_normalized(s.next_log_probs("fuzz", prefix))
+
+
+def test_ngram_rows_equal_dict_count_reference():
+    """Batch rows, single rows and the dict-count model agree bit for bit."""
+    rng = random.Random(11)
+    for n in range(1, 6):
+        for _ in range(6):
+            # marker ids and printable bytes, so that contexts can extend seen histories
+            alphabet = rng.sample(range(5), 2) + rng.sample(range(5 + 97, 5 + 100), 3)
+            corpus = [
+                [rng.choice(alphabet) for _ in range(rng.randint(0, 12))]
+                for _ in range(rng.randint(1, 6))
+            ]
+            model = train_ngram(corpus, n=n, tokenizer=TOK)
+            ref = RefNGram(corpus, n, TOK)
+            seen = [list(h) for h in ref.counts]
+            queries = seen + [
+                [],  # empty prefix
+                [rng.choice(alphabet) for _ in range(n + 3)],  # longer than n - 1
+                [200, 201, 202, 203][: n - 1] or [203],  # unseen history
+                [V + 3, -1],  # ids outside the vocabulary are unseen histories too
+            ]
+            for context in ("", "a", "bca", "ab" * 5):
+                rows = model.next_log_probs_batch(context, queries)
+                assert rows.shape == (len(queries), V)
+                for prefix, row in zip(queries, rows):
+                    expected = ref.next_log_probs(context, prefix)
+                    assert np.array_equal(row, expected), (n, context, prefix)
+                    assert np.array_equal(model.next_log_probs(context, prefix), row)
+
+
+def test_ngram_corpus_of_empty_sequences_is_uniform():
+    model = train_ngram([[], []], n=3, tokenizer=TOK)
+    rows = model.next_log_probs_batch("ab", [[], [10, 11]])
+    assert np.array_equal(rows, np.full((2, V), 0.0 - math.log(V)))
