@@ -29,9 +29,9 @@ from .catalog import (
     EmptyName,
     InvalidPrefix,
     TokenTrie,
-    allowed_next,
     build_catalog,
     build_trie,
+    names_digest,
     restrict_relations,
 )
 from .decoder import (
@@ -97,9 +97,7 @@ from .scorers import (
     RandomScorer,
     TableScorer,
     UniformScorer,
-    oracle_scorer,
     train_ngram,
-    uniform_scorer,
 )
 from .tokens import EOS, ET, NUM_SPECIAL, OBJ, REL, SUB, ByteTokenizer, Tokenizer
 
@@ -109,7 +107,7 @@ __all__ = [
     "SUB", "REL", "OBJ", "ET", "EOS", "NUM_SPECIAL", "ByteTokenizer", "Tokenizer",
     # catalog
     "Catalog", "CatalogError", "DuplicateName", "EmptyName", "InvalidPrefix",
-    "TokenTrie", "allowed_next", "build_catalog", "build_trie", "restrict_relations",
+    "TokenTrie", "build_catalog", "build_trie", "names_digest", "restrict_relations",
     # linearize
     "Triplet", "MentionedTriplet", "Diagnostic", "ParseResult", "UnknownId",
     "linearize", "order_triplets", "parse",
@@ -118,7 +116,7 @@ __all__ = [
     "NoCompleteHypothesis", "allowed_tokens", "beam_search", "decode", "score_batch",
     # scorers
     "UniformScorer", "OracleScorer", "TableScorer", "RandomScorer", "NGramScorer",
-    "uniform_scorer", "oracle_scorer", "train_ngram",
+    "train_ngram",
     # metrics
     "EvalPair", "PRF", "RelationScore", "ScoreReport", "micro_scores", "macro_scores",
     "per_relation_scores", "score_report", "bucket_relations", "bucketed_f1",

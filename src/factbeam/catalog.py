@@ -9,6 +9,7 @@ concurrent decoders.
 
 from __future__ import annotations
 
+import hashlib
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -121,21 +122,25 @@ def build_catalog(
 class TokenTrie:
     """Immutable prefix trie keyed by token ids, in compressed sparse rows.
 
-    Node i's edges are tokens[offsets[i]:offsets[i + 1]] (int32, ascending)
-    leading to the nodes at the same positions in targets (int32);
-    terminal[i] (int64) is the catalog id of the name ending at node i, or
-    -1. Node 0 is the root. These are the FBTRIE01 artifact's arrays, held
-    as memoryviews so that every element read is a plain Python int.
+    Nodes are numbered in level order, each node's children in token
+    order, so the child along edge e is node e + 1. Node i's edges are
+    tokens[offsets[i]:offsets[i + 1]] (ascending); terminal[i] is the
+    catalog id of the name ending at node i, or -1; all three arrays are
+    int32. Node 0 is the root. names_sha256 is the names_digest of the
+    names the trie is bound to, all zero when unbound. These are the
+    FBTRIE02 artifact's contents, the arrays held as memoryviews so that
+    every element read is a plain Python int.
     """
 
-    __slots__ = ("offsets", "tokens", "targets", "terminal", "_names")
+    __slots__ = ("offsets", "tokens", "terminal", "names_sha256", "_names")
 
     ROOT = 0
 
-    def __init__(self, offsets, tokens, targets, terminal):
-        self.offsets, self.tokens, self.targets, self.terminal = (
-            memoryview(a).toreadonly() for a in (offsets, tokens, targets, terminal)
+    def __init__(self, offsets, tokens, terminal, names_sha256: bytes = bytes(32)):
+        self.offsets, self.tokens, self.terminal = (
+            memoryview(np.asarray(a, np.int32)).toreadonly() for a in (offsets, tokens, terminal)
         )
+        self.names_sha256 = bytes(names_sha256)
         self._names = int(np.count_nonzero(np.asarray(terminal) >= 0))
 
     @property
@@ -153,7 +158,7 @@ class TokenTrie:
     def child(self, node: int, token: int) -> int | None:
         hi = self.offsets[node + 1]
         i = bisect_left(self.tokens, token, self.offsets[node], hi)
-        return self.targets[i] if i < hi and self.tokens[i] == token else None
+        return i + 1 if i < hi and self.tokens[i] == token else None
 
     def children_of(self, node: int) -> Sequence[int]:
         """The tokens leaving node, ascending."""
@@ -178,68 +183,62 @@ class TokenTrie:
 
     def approx_bytes(self) -> int:
         """In-memory size of the node and edge arrays."""
-        return sum(a.nbytes for a in (self.offsets, self.tokens, self.targets, self.terminal))
+        return sum(a.nbytes for a in (self.offsets, self.tokens, self.terminal))
+
+
+def names_digest(names_with_ids: Iterable[tuple[int, str]]) -> bytes:
+    """SHA-256 of the (id, name) pairs sorted by id, as UTF-8
+    "<id>\\t<name>\\n" lines: what binds a trie to its catalog."""
+    lines = "".join(f"{catalog_id}\t{name}\n" for catalog_id, name in sorted(names_with_ids))
+    return hashlib.sha256(lines.encode("utf-8")).digest()
 
 
 def build_trie(names_with_ids: Iterable[tuple[int, str]], tok: Tokenizer) -> TokenTrie:
     """Index every (id, name) pair; names must tokenize uniquely.
 
-    Node count never exceeds the total token count plus one (the root).
-    Nodes are numbered in depth-first sorted-edge order, so the structure
-    depends only on the (id, name) set, never on insertion order: taken in
-    sorted token order, each name adds one node per token past its common
-    prefix with the previous name.
+    Node count never exceeds the total token count plus one (the root),
+    and the structure depends only on the (id, name) set, never on
+    insertion order. The trie grows one depth at a time: the names still
+    live at depth d are sorted by (node, token), and each distinct pair
+    opens a node, so the nodes come out in level order. Time and memory
+    grow with the total token count. The trie is unbound (names_sha256
+    all zero): build-trie passes the digest to save_trie.
     """
-    names = sorted((tok.encode(name), catalog_id, name) for catalog_id, name in names_with_ids)
-    parents = array("q")  # parent of node i + 1
-    edge_tokens = array("i")  # token on the edge into node i + 1
-    terminal_nodes = array("q")
-    path = [0]  # path[d]: node at depth d of the previous name
-    prev: list[int] | None = None
-    for tokens, _, name in names:
-        if tokens == prev:
-            raise DuplicateName(name, "trie")
-        common = 0
-        for a, b in zip(prev or (), tokens):
-            if a != b:
-                break
-            common += 1
-        del path[common + 1 :]
-        new_nodes = range(len(parents) + 1, len(parents) + 1 + len(tokens) - common)
-        if new_nodes:
-            parents.append(path[-1])  # the first new node hangs off the shared prefix
-            parents.extend(new_nodes[:-1])  # each later one off the node before it
-            edge_tokens.extend(tokens[common:])
-            path.extend(new_nodes)
-        terminal_nodes.append(path[-1])
-        prev = tokens
-    n = len(parents) + 1
-    parent_of = np.frombuffer(parents, dtype=np.int64)
-    # a stable sort by parent keeps each node's edges in ascending token order
-    order = np.argsort(parent_of, kind="stable")
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(parent_of, minlength=n), out=offsets[1:])
-    terminal = np.full(n, -1, dtype=np.int64)
-    terminal[np.frombuffer(terminal_nodes, dtype=np.int64)] = [entry[1] for entry in names]
-    return TokenTrie(
-        offsets,
-        np.frombuffer(edge_tokens, dtype=np.int32)[order],
-        (order + 1).astype(np.int32),
-        terminal,
-    )
-
-
-def allowed_next(
-    trie: TokenTrie, prefix: Sequence[int]
-) -> tuple[set[int], int | None]:
-    """Continuation tokens and completed catalog id for a name prefix.
-
-    Returns the set of child tokens at the node reached by prefix, plus
-    the terminal marker there if the prefix spells out a complete name.
-    Raises InvalidPrefix if the prefix is not a path from the root.
-    """
-    node = trie.walk(prefix)
-    return set(trie.children_of(node)), trie.terminal_id(node)
+    pairs = list(names_with_ids)
+    flat, lengths = array("i"), array("q")
+    for _, name in pairs:
+        encoded = tok.encode(name)
+        flat.extend(encoded)
+        lengths.append(len(encoded))
+    flat, length = np.asarray(flat), np.asarray(lengths)
+    start = np.cumsum(length) - length
+    radix = int(flat.max(initial=0)) + 1
+    node = np.zeros(len(pairs), dtype=np.int64)  # each name's node at the current depth
+    live = np.arange(len(pairs))
+    degrees, tokens = [], []  # edge counts of the nodes, and edge tokens, depth by depth
+    first, n = 0, 1  # the nodes at the current depth are first..n-1
+    for depth in range(int(length.max(initial=0)) + 1):
+        live = live[length[live] > depth]
+        key = (node[live] - first) * radix + flat[start[live] + depth]
+        order = np.argsort(key)
+        live, key = live[order], key[order]
+        opens = np.diff(key, prepend=-1) != 0
+        new = live[opens]
+        degrees.append(np.bincount(node[new] - first, minlength=n - first))
+        tokens.append(flat[start[new] + depth])
+        node[live] = n - 1 + np.cumsum(opens)
+        first, n = n, n + len(new)
+    if n > np.iinfo(np.int32).max:
+        raise CatalogError(f"trie of {n} nodes exceeds the int32 node ids")
+    terminal = np.full(n, -1, dtype=np.int32)
+    terminal[node] = np.arange(len(pairs))
+    clash = terminal[node] != np.arange(len(pairs))  # names ending on one node
+    if clash.any():
+        raise DuplicateName(pairs[int(np.argmax(clash))][1], "trie")
+    terminal[node] = np.fromiter((catalog_id for catalog_id, _ in pairs), np.int32, len(pairs))
+    offsets = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.concatenate(degrees), out=offsets[1:])
+    return TokenTrie(offsets, np.concatenate(tokens), terminal)
 
 
 def restrict_relations(

@@ -1,14 +1,16 @@
 """Command-line front end: build-trie, decode, evaluate, attribute.
 
 Every subcommand is deterministic given (inputs, flags, seed), records a
-run manifest next to its outputs, and removes partial outputs on
-failure so exit code 0 means "everything written".
+run manifest next to its outputs, and writes its outputs atomically: a
+failed run leaves the previous files as they were, so exit code 0 means
+"everything written".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -17,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import __version__
 from .attribution import ner_error, nel_rc_errors, recall_error
-from .catalog import Catalog, CatalogError, TokenTrie, build_catalog, build_trie
+from .catalog import Catalog, CatalogError, TokenTrie, build_catalog, build_trie, names_digest
 from .decoder import DecodeConfig, NoCompleteHypothesis, Scorer, decode
 from .fileio import (
     Document,
@@ -37,25 +39,37 @@ from .fileio import (
 )
 from .linearize import MentionedTriplet, linearize, order_triplets
 from .metrics import EvalPair, PRF, bootstrap_ci, bucketed_f1, macro_scores, micro_scores, score_report
-from .scorers import RandomScorer, oracle_scorer, train_ngram, uniform_scorer
+from .scorers import OracleScorer, RandomScorer, UniformScorer, train_ngram
 from .tokens import ByteTokenizer
 
 
 @contextmanager
 def _transaction():
-    """Collects output paths; on any failure every recorded file is removed."""
-    written: list[Path] = []
+    """Stages outputs: `stage(path)` names a temp file beside path to write
+    instead. On success every temp file replaces its path; on any failure
+    the temp files are removed and the paths keep their previous contents.
+    Two outputs naming one file are refused before anything is replaced."""
+    staged: list[tuple[Path, Path]] = []
+
+    def stage(path: Path) -> Path:
+        if any(path.resolve() == target.resolve() for _, target in staged):
+            raise ValueError(f"{path}: named for two outputs")
+        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        staged.append((temp, path))
+        return temp
+
     try:
-        yield written
-    except BaseException:
-        for p in written:
-            Path(p).unlink(missing_ok=True)
-        raise
+        yield stage
+        for temp, path in staged:
+            os.replace(temp, path)
+    finally:
+        for temp, _ in staged:
+            temp.unlink(missing_ok=True)
 
 
 def _write_manifest(
     path: Path,
-    written: list[Path],
+    stage: Callable[[Path], Path],
     subcommand: str,
     config: Mapping,
     inputs: Mapping[str, str | Path],
@@ -71,8 +85,7 @@ def _write_manifest(
             label: {"path": str(p), "sha256": sha256_file(p)} for label, p in inputs.items()
         },
     }
-    written.append(path)
-    write_json(path, manifest)
+    write_json(stage(path), manifest)
 
 
 def _manifest_path(args: argparse.Namespace, default: Path) -> Path:
@@ -88,7 +101,7 @@ def cmd_build_trie(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats: dict = {}
-    tries: dict[str, object] = {}
+    tries: dict[str, tuple[TokenTrie, Sequence[str]]] = {}
     for kind, names in (("entity", cat.entity_names), ("relation", cat.relation_names)):
         start = time.perf_counter()
         trie = build_trie(enumerate(names), tok)
@@ -98,19 +111,16 @@ def cmd_build_trie(args: argparse.Namespace) -> int:
             "bytes": trie.approx_bytes(),
             "build_seconds": time.perf_counter() - start,
         }
-        tries[kind] = trie
-    with _transaction() as written:
-        for kind, trie in tries.items():
-            path = out_dir / f"{kind}.trie"
-            written.append(path)
-            save_trie(trie, path)  # type: ignore[arg-type]
+        tries[kind] = trie, names
+    with _transaction() as stage:
+        for kind, (trie, names) in tries.items():
+            path = stage(out_dir / f"{kind}.trie")
+            save_trie(trie, path, names_digest(enumerate(names)))
             stats[kind]["sha256"] = sha256_file(path)
-        stats_path = out_dir / "stats.json"
-        written.append(stats_path)
-        write_json(stats_path, stats)
+        write_json(stage(out_dir / "stats.json"), stats)
         _write_manifest(
             _manifest_path(args, out_dir / "manifest.json"),
-            written,
+            stage,
             "build-trie",
             {"out_dir": str(out_dir)},
             {"entities": args.entities, "relations": args.relations},
@@ -127,7 +137,7 @@ def _scorer_factory(
 ) -> Callable[[Document], Scorer]:
     """Resolve a scorer spec: uniform | random | oracle:FILE | ngram:FILE."""
     if spec == "uniform":
-        scorer = uniform_scorer(tok.vocab_size)
+        scorer = UniformScorer(tok.vocab_size)
         return lambda doc: scorer
     if spec == "random":
         scorer = RandomScorer(args.seed, tok.vocab_size)
@@ -147,7 +157,7 @@ def _scorer_factory(
             target = targets.get(doc.doc_id)
             if target is None:
                 raise ValueError(f"oracle file has no record for document {doc.doc_id!r}")
-            return oracle_scorer(target, tok.vocab_size)
+            return OracleScorer(target, tok.vocab_size)
 
         return for_doc
     corpus = [
@@ -163,8 +173,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
     cat = load_catalog(args.entities, args.relations)
     if args.tries:
         tries = tuple(
-            _load_catalog_trie(Path(args.tries) / f"{kind}.trie", kind, n_names)
-            for kind, n_names in (("entity", cat.num_entities), ("relation", cat.num_relations))
+            _load_catalog_trie(Path(args.tries) / f"{kind}.trie", kind, names)
+            for kind, names in (("entity", cat.entity_names), ("relation", cat.relation_names))
         )
     else:
         tries = (
@@ -205,12 +215,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
     records = [run(doc) for doc in docs]
     out = Path(args.out)
-    with _transaction() as written:
-        written.append(out)
-        write_jsonl(out, records)
+    with _transaction() as stage:
+        write_jsonl(stage(out), records)
         _write_manifest(
             _manifest_path(args, out.with_name(out.name + ".manifest.json")),
-            written,
+            stage,
             "decode",
             {
                 "scorer": args.scorer,
@@ -227,10 +236,12 @@ def cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_catalog_trie(path: Path, kind: str, n_names: int) -> TokenTrie:
+def _load_catalog_trie(path: Path, kind: str, names: Sequence[str]) -> TokenTrie:
     trie = load_trie(path)
-    if len(trie) != n_names:
-        raise ValueError(f"{path}: trie holds {len(trie)} names, the {kind} catalog {n_names}")
+    if len(trie) != len(names):
+        raise ValueError(f"{path}: trie holds {len(trie)} names, the {kind} catalog {len(names)}")
+    if trie.names_sha256 != names_digest(enumerate(names)):
+        raise ValueError(f"{path}: trie was built from other {kind} names than the catalog's")
     return trie
 
 
@@ -318,16 +329,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         buckets = bucketed_f1(pairs, read_counts(args.counts, cat))
         inputs["counts"] = args.counts
     out = Path(args.out)
-    with _transaction() as written:
-        written.append(out)
-        write_json(out, report)
+    with _transaction() as stage:
+        write_json(stage(out), report)
         if buckets is not None:
             table = Path(args.bucket_table) if args.bucket_table else out.with_suffix(".buckets.tsv")
-            written.append(table)
-            _write_bucket_table(table, buckets)
+            _write_bucket_table(stage(table), buckets)
         _write_manifest(
             _manifest_path(args, out.with_name(out.name + ".manifest.json")),
-            written,
+            stage,
             "evaluate",
             {"macro_mode": args.macro_mode, "bootstrap": args.bootstrap},
             inputs,
@@ -380,12 +389,11 @@ def cmd_attribute(args: argparse.Namespace) -> int:
         )
         inputs["mentions"] = args.mentions
     out = Path(args.out)
-    with _transaction() as written:
-        written.append(out)
-        write_json(out, report)
+    with _transaction() as stage:
+        write_json(stage(out), report)
         _write_manifest(
             _manifest_path(args, out.with_name(out.name + ".manifest.json")),
-            written,
+            stage,
             "attribute",
             {"mode": args.mode if args.mentions else None},
             inputs,

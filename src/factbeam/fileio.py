@@ -22,7 +22,8 @@ from .linearize import MentionedTriplet, Triplet
 
 log = logging.getLogger("factbeam")
 
-TRIE_MAGIC = b"FBTRIE01"  # bump the trailing digits on format changes
+TRIE_MAGIC = b"FBTRIE02"  # bump the trailing digits on format changes
+_TRIE_HEADER = struct.Struct("<q32s")  # node count, catalog.names_digest of the names
 
 
 class TrieFormatError(ValueError):
@@ -298,12 +299,17 @@ def write_json(path: str | Path, obj) -> None:
 # --- binary trie artifact ---------------------------------------------------
 
 
-def save_trie(trie: TokenTrie, path: str | Path) -> None:
-    """Write a byte-deterministic artifact: same trie, same bytes."""
+def save_trie(trie: TokenTrie, path: str | Path, names_sha256: bytes | None = None) -> None:
+    """Write a byte-deterministic artifact: same trie, same bytes.
+
+    names_sha256 (default: the trie's own) is the catalog.names_digest
+    that binds the artifact to the names it was built from.
+    """
+    digest = trie.names_sha256 if names_sha256 is None else names_sha256
     with open(path, "wb") as fh:
         fh.write(TRIE_MAGIC)
-        fh.write(struct.pack("<qq", trie.node_count, len(trie.tokens)))
-        for arr in (trie.offsets, trie.tokens, trie.targets, trie.terminal):
+        fh.write(_TRIE_HEADER.pack(trie.node_count, digest))
+        for arr in (trie.offsets, trie.terminal, trie.tokens):
             fh.write(arr)
 
 
@@ -320,36 +326,38 @@ def load_trie(path: str | Path) -> TokenTrie:
             f"{path}: not a trie artifact of this tool version "
             f"(expected header {TRIE_MAGIC!r})"
         )
-    pos = len(TRIE_MAGIC) + 16
+    pos = len(TRIE_MAGIC) + _TRIE_HEADER.size
     if len(data) < pos:
         raise TrieFormatError(f"{path}: truncated trie artifact header")
-    n, n_edges = struct.unpack_from("<qq", data, len(TRIE_MAGIC))
-    if n < 1 or n_edges < 0:
-        raise TrieFormatError(f"{path}: bad node/edge counts {n}/{n_edges}")
-    size = pos + 8 * (n + 1) + 8 * n_edges + 8 * n
+    n, digest = _TRIE_HEADER.unpack_from(data, len(TRIE_MAGIC))
+    if n < 1:
+        raise TrieFormatError(f"{path}: bad node count {n}")
+    size = pos + 4 * ((n + 1) + n + (n - 1))
     if len(data) != size:
         problem = "trailing bytes in" if len(data) > size else "truncated"
         raise TrieFormatError(f"{path}: {problem} trie artifact ({len(data)} bytes, expected {size})")
-    offsets = np.frombuffer(data, np.int64, n + 1, pos)
-    pos += offsets.nbytes
-    tokens, targets = np.frombuffer(data, np.int32, 2 * n_edges, pos).reshape(2, n_edges)
-    terminal = np.frombuffer(data, np.int64, n, pos + 8 * n_edges)
-    _check_trie_arrays(path, offsets, tokens, targets, terminal)
-    return TokenTrie(offsets, tokens, targets, terminal)
+    offsets = np.frombuffer(data, np.int32, n + 1, pos)
+    terminal = np.frombuffer(data, np.int32, n, pos + offsets.nbytes)
+    tokens = np.frombuffer(data, np.int32, n - 1, pos + offsets.nbytes + terminal.nbytes)
+    _check_trie_arrays(path, offsets, tokens, terminal)
+    return TokenTrie(offsets, tokens, terminal, digest)
 
 
-def _check_trie_arrays(path, offsets, tokens, targets, terminal) -> None:
-    n, n_edges = len(terminal), len(tokens)
+def _check_trie_arrays(path, offsets, tokens, terminal) -> None:
+    n_edges = len(tokens)
     if offsets[0] != 0 or offsets[-1] != n_edges or np.any(np.diff(offsets) < 0):
         raise TrieFormatError(f"{path}: edge offsets are not a monotone 0..{n_edges} range")
-    if n_edges and (targets.min() < 1 or targets.max() >= n):
-        raise TrieFormatError(f"{path}: edge target outside nodes 1..{n - 1}")
+    # node p's children are nodes offsets[p] + 1 ..: each node then has one
+    # parent, and with every parent below its children the edges form one tree
+    has_edges = np.flatnonzero(np.diff(offsets))
+    if np.any(offsets[has_edges] < has_edges):
+        raise TrieFormatError(f"{path}: a child id below its parent's")
     node_start = np.zeros(n_edges, dtype=bool)
     node_start[offsets[:-1][offsets[:-1] < n_edges]] = True
     if np.any((np.diff(tokens) <= 0) & ~node_start[1:]):
         raise TrieFormatError(f"{path}: edge tokens not strictly ascending within a node")
-    ids = terminal[terminal >= 0]
-    if np.any(terminal < -1) or len(np.unique(ids)) != len(ids):
+    ids = np.sort(terminal[terminal >= 0])
+    if np.any(terminal < -1) or np.any(ids[1:] == ids[:-1]):
         raise TrieFormatError(f"{path}: terminal ids negative or repeated")
 
 

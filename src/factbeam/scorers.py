@@ -37,10 +37,6 @@ class UniformScorer:
         return self._table
 
 
-def uniform_scorer(vocab_size: int) -> UniformScorer:
-    return UniformScorer(vocab_size)
-
-
 class OracleScorer:
     """Concentrates probability along one target sequence.
 
@@ -76,10 +72,6 @@ class OracleScorer:
         out = np.full(self.vocab_size, self._off)
         out[self.target[n]] = self._on
         return out
-
-
-def oracle_scorer(target: Sequence[int], vocab_size: int, mass: float = 0.99) -> OracleScorer:
-    return OracleScorer(target, vocab_size, mass)
 
 
 class TableScorer:

@@ -9,7 +9,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,6 +112,59 @@ def oracle_allowed_next(
     if not hit:
         return None
     return continuations, completed
+
+
+class RefTrie(NamedTuple):
+    """The preorder layout that `build_trie` made before level order: node
+    i's edges tokens[offsets[i]:offsets[i + 1]] lead to the nodes at the
+    same positions in targets."""
+
+    offsets: np.ndarray
+    tokens: np.ndarray
+    targets: np.ndarray
+    terminal: np.ndarray
+
+    def walk(self, prefix: Sequence[int]) -> int:
+        node = 0
+        for token in prefix:
+            lo, hi = self.offsets[node], self.offsets[node + 1]
+            node = int(self.targets[lo + list(self.tokens[lo:hi]).index(token)])
+        return node
+
+    def children_of(self, node: int) -> list[int]:
+        return self.tokens[self.offsets[node] : self.offsets[node + 1]].tolist()
+
+
+def ref_build_trie(names_with_ids: Sequence[tuple[int, str]], tok: Tokenizer) -> RefTrie:
+    """The per-name preorder build: taken in sorted token order, each name
+    adds one node per token past its common prefix with the previous name."""
+    names = sorted((tok.encode(name), catalog_id) for catalog_id, name in names_with_ids)
+    parents: list[int] = []  # parent of node i + 1
+    edge_tokens: list[int] = []  # token on the edge into node i + 1
+    terminal_nodes: list[int] = []
+    path = [0]  # path[d]: node at depth d of the previous name
+    prev: list[int] = []
+    for tokens, _ in names:
+        common = 0
+        for a, b in zip(prev, tokens):
+            if a != b:
+                break
+            common += 1
+        del path[common + 1 :]
+        for token in tokens[common:]:
+            parents.append(path[-1])
+            edge_tokens.append(token)
+            path.append(len(parents))
+        terminal_nodes.append(path[-1])
+        prev = tokens
+    n = len(parents) + 1
+    parent_of = np.array(parents, dtype=np.int64)
+    order = np.argsort(parent_of, kind="stable")
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(parent_of, minlength=n), out=offsets[1:])
+    terminal = np.full(n, -1, dtype=np.int64)
+    terminal[terminal_nodes] = [catalog_id for _, catalog_id in names]
+    return RefTrie(offsets, np.array(edge_tokens, dtype=np.int64)[order], order + 1, terminal)
 
 
 # --- exhaustive decode oracle -------------------------------------------------

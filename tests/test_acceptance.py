@@ -21,7 +21,7 @@ from factbeam import (
     NoCompleteHypothesis,
     RandomScorer,
     Triplet,
-    allowed_next,
+    UniformScorer,
     beam_search,
     bucket_relations,
     build_catalog,
@@ -37,7 +37,6 @@ from factbeam import (
     parse,
     per_relation_scores,
     train_ngram,
-    uniform_scorer,
 )
 
 from helpers import (
@@ -88,7 +87,7 @@ def test_criterion_1_grammar_validity_fuzz():
     for i in range(n_decodes):
         cat, tries = catalogs[i % len(catalogs)]
         scorer = (
-            uniform_scorer(TOK.vocab_size) if i % 10 == 9 else RandomScorer(i, TOK.vocab_size)
+            UniformScorer(TOK.vocab_size) if i % 10 == 9 else RandomScorer(i, TOK.vocab_size)
         )
         cfg = DecodeConfig(
             beam_size=1 + i % 3,
@@ -192,7 +191,9 @@ def test_criterion_4_trie_oracles():
             enc = TOK.encode(name)
             prefixes.update(tuple(enc[:j]) for j in range(1, len(enc) + 1))
         for p in prefixes:
-            if allowed_next(trie, list(p)) != oracle_allowed_next(pairs, TOK, list(p)):
+            node = trie.walk(p)
+            got = (set(trie.children_of(node)), trie.terminal_id(node))
+            if got != oracle_allowed_next(pairs, TOK, list(p)):
                 failures += 1
 
         def member(s: str) -> bool:

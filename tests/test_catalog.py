@@ -6,7 +6,6 @@ from factbeam import (
     DuplicateName,
     EmptyName,
     InvalidPrefix,
-    allowed_next,
     build_catalog,
     build_trie,
     load_trie,
@@ -15,13 +14,19 @@ from factbeam import (
 )
 from factbeam.tokens import ByteTokenizer
 
-from helpers import oracle_allowed_next, rand_catalog, rand_names
+from helpers import oracle_allowed_next, rand_catalog, rand_names, ref_build_trie
 
 TOK = ByteTokenizer()
 
 
 def enc(text: str) -> list[int]:
     return TOK.encode(text)
+
+
+def next_of(trie, prefix) -> tuple[set[int], int | None]:
+    """Continuation tokens and completed catalog id after prefix."""
+    node = trie.walk(prefix)
+    return set(trie.children_of(node)), trie.terminal_id(node)
 
 
 # --- build_catalog ----------------------------------------------------------
@@ -68,7 +73,7 @@ def test_external_ids_carried():
     assert cat.relation_external_ids == ("P5",)
 
 
-# --- build_trie / allowed_next ------------------------------------------------
+# --- build_trie / walk ------------------------------------------------------
 
 
 def test_prefix_name_is_internal_terminal():
@@ -83,7 +88,7 @@ def test_prefix_name_is_internal_terminal():
 def test_empty_trie():
     trie = build_trie([], TOK)
     assert len(trie) == 0
-    assert allowed_next(trie, []) == (set(), None)
+    assert next_of(trie, []) == (set(), None)
 
 
 def test_identically_tokenizing_names_rejected():
@@ -93,10 +98,10 @@ def test_identically_tokenizing_names_rejected():
 
 def test_allowed_next_examples():
     trie = build_trie([(0, "Paris"), (1, "Parma")], TOK)
-    conts, completed = allowed_next(trie, enc("Par"))
+    conts, completed = next_of(trie, enc("Par"))
     assert conts == {enc("i")[0], enc("m")[0]}
     assert completed is None
-    conts, completed = allowed_next(build_trie([(0, "Rome"), (1, "Romeo")], TOK), enc("Rome"))
+    conts, completed = next_of(build_trie([(0, "Rome"), (1, "Romeo")], TOK), enc("Rome"))
     assert conts == {enc("o")[0]}
     assert completed == 0
 
@@ -104,7 +109,7 @@ def test_allowed_next_examples():
 def test_root_continuations_are_first_tokens():
     names = ["alpha", "beta", "bread"]
     trie = build_trie(list(enumerate(names)), TOK)
-    conts, completed = allowed_next(trie, [])
+    conts, completed = next_of(trie, [])
     assert conts == {enc(n)[0] for n in names}
     assert completed is None
 
@@ -112,9 +117,9 @@ def test_root_continuations_are_first_tokens():
 def test_invalid_prefix_raises():
     trie = build_trie([(0, "Rome")], TOK)
     with pytest.raises(InvalidPrefix):
-        allowed_next(trie, enc("Rx"))
+        trie.walk(enc("Rx"))
     with pytest.raises(InvalidPrefix):
-        allowed_next(trie, enc("Romee"))
+        trie.walk(enc("Romee"))
 
 
 def test_build_determinism_and_structural_equality():
@@ -165,7 +170,49 @@ def test_allowed_next_matches_brute_force_everywhere():
         for prefix in prefixes:
             expected = oracle_allowed_next(names, TOK, list(prefix))
             assert expected is not None
-            assert allowed_next(trie, list(prefix)) == expected
+            assert next_of(trie, prefix) == expected
+
+
+def layout_names(rng: random.Random) -> list[str]:
+    """Distinct names with multi-byte UTF-8, names that are prefixes of
+    others, sometimes the empty string; from none to about 60."""
+    names = rand_names(rng, rng.choice([0, 1, rng.randint(2, 30)]), 1, 5, "ab é€𝄞")
+    names += [n[: rng.randint(1, len(n))] for n in names if rng.random() < 0.5]
+    if rng.random() < 0.2:
+        names.append("")
+    return sorted(set(names))
+
+
+def test_level_order_layout_matches_preorder_reference():
+    rng = random.Random(43)
+    for _ in range(500):
+        names = layout_names(rng)
+        pairs = list(zip(rng.sample(range(1000), len(names)), names))
+        trie, ref = build_trie(pairs, TOK), ref_build_trie(pairs, TOK)
+        assert trie.node_count == len(ref.terminal) and len(trie) == len(names)
+        prefixes = {tuple(enc(n)[:i]) for n in names for i in range(len(enc(n)) + 1)} | {()}
+        for prefix in prefixes:
+            node, ref_node = trie.walk(prefix), ref.walk(prefix)
+            assert list(trie.children_of(node)) == ref.children_of(ref_node)
+            assert trie.terminal_id(node) == (None if ref.terminal[ref_node] < 0 else ref.terminal[ref_node])
+        depth = [0] * trie.node_count
+        for node in range(trie.node_count):
+            for edge in range(trie.offsets[node], trie.offsets[node + 1]):
+                assert trie.child(node, trie.tokens[edge]) == edge + 1
+                depth[edge + 1] = depth[node] + 1
+        assert depth == sorted(depth)  # level order: depth never decreases with node id
+
+
+def test_one_long_name_among_short_ones():
+    rng = random.Random(47)
+    names = rand_names(rng, 300, 1, 6) + ["x" * 5000 + "é", "x" * 4000]
+    pairs = list(enumerate(sorted(set(names))))
+    trie, ref = build_trie(pairs, TOK), ref_build_trie(pairs, TOK)
+    assert trie.node_count == len(ref.terminal)
+    for catalog_id, name in pairs:
+        prefix = enc(name)
+        assert trie.terminal_id(trie.walk(prefix)) == catalog_id
+        assert list(trie.children_of(trie.walk(prefix[:4001]))) == ref.children_of(ref.walk(prefix[:4001]))
 
 
 def test_membership_matches_hash_set():

@@ -7,11 +7,13 @@ import pytest
 from factbeam import (
     ByteTokenizer,
     EvalPair,
+    TokenTrie,
     Triplet,
     bucketed_f1,
     build_catalog,
     build_trie,
     load_trie,
+    names_digest,
     read_jsonl,
     sha256_file,
     write_catalog_rows,
@@ -67,8 +69,10 @@ def test_build_trie_outputs(tmp_path, catalog_files):
     assert stats["entity"]["names"] == len(ENTITIES)
     assert stats["relation"]["names"] == len(RELATIONS)
     tok = ByteTokenizer()
-    assert load_trie(out / "entity.trie") == build_trie(enumerate(ENTITIES), tok)
-    assert load_trie(out / "relation.trie") == build_trie(enumerate(RELATIONS), tok)
+    for kind, names in (("entity", ENTITIES), ("relation", RELATIONS)):
+        built = build_trie(enumerate(names), tok)
+        bound = TokenTrie(built.offsets, built.tokens, built.terminal, names_digest(enumerate(names)))
+        assert load_trie(out / f"{kind}.trie") == bound
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tool"] == "factbeam"
     assert manifest["subcommand"] == "build-trie"
@@ -169,7 +173,10 @@ def test_decode_tries_from_other_catalog(tmp_path, catalog_files, capsys):
         tmp_path, catalog_files, docs,
         ["--tries", str(tries), "--scorer", "uniform", "--no-empty-set"],
     )
-    assert_clean_failure(rc, capsys, out, "does not parse against the catalog")
+    assert_clean_failure(
+        rc, capsys, out,
+        f"{tries / 'entity.trie'}: trie was built from other entity names than the catalog's",
+    )
 
 
 def test_decode_tries_name_count_differs(tmp_path, catalog_files, capsys):
@@ -538,6 +545,42 @@ def test_partial_outputs_removed_on_failure(tmp_path, catalog_files, capsys):
     capsys.readouterr()
     # the report was written before the bucket table failed; it must be gone
     assert not out.exists()
+
+
+def test_failed_run_keeps_previous_outputs(tmp_path, catalog_files, capsys):
+    ent, rel = catalog_files
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    out = tmp_path / "report.json"
+    out.write_bytes(b'{"previous": "report"}\n')
+    rc = main(
+        [
+            "evaluate", "--gold", gold, "--pred", gold, "--entities", ent,
+            "--relations", rel, "--counts", counts_file(tmp_path),
+            "--bucket-table", str(tmp_path / "no_such_dir" / "buckets.tsv"),
+            "--out", str(out),
+        ]
+    )
+    assert rc == 1
+    assert "factbeam: error:" in capsys.readouterr().err
+    assert out.read_bytes() == b'{"previous": "report"}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["entities.tsv", "relations.tsv", "gold.jsonl", "counts.tsv", "report.json"]
+    )
+
+
+def test_two_outputs_one_path_refused(tmp_path, catalog_files, capsys):
+    ent, rel = catalog_files
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    out = tmp_path / "report.json"
+    out.write_bytes(b'{"previous": "report"}\n')
+    rc = main(
+        ["evaluate", "--gold", gold, "--pred", gold, "--entities", ent, "--relations", rel,
+         "--out", str(out), "--manifest-out", str(tmp_path / "." / "report.json")]
+    )
+    assert rc == 1
+    assert "named for two outputs" in capsys.readouterr().err
+    assert out.read_bytes() == b'{"previous": "report"}\n'
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
 def test_manifest_out_override(tmp_path, catalog_files):

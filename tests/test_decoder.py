@@ -8,23 +8,24 @@ from factbeam import (
     DecodeConfig,
     Hypothesis,
     InvalidScores,
+    InvalidSequence,
     NoCompleteHypothesis,
+    OracleScorer,
     Phase,
     RandomScorer,
     TableScorer,
     Triplet,
+    UniformScorer,
     allowed_tokens,
     beam_search,
     build_catalog,
     build_trie,
     decode,
     linearize,
-    oracle_scorer,
     order_triplets,
     parse,
     score_batch,
     train_ngram,
-    uniform_scorer,
 )
 from factbeam.tokens import EOS, ET, OBJ, REL, SUB, ByteTokenizer
 
@@ -143,14 +144,14 @@ def _extend_public(h, t, tries):
 def test_oracle_target_is_top1():
     target_set = frozenset({Triplet(1, 0, 0)})
     target = linearize(sorted(target_set), CAT, TOK)
-    scorer = oracle_scorer(target, vocab_size=V)
+    scorer = OracleScorer(target, vocab_size=V)
     results = decode("", scorer, CAT, TRIES, DecodeConfig(beam_size=3), TOK)
     assert results[0][0] == target_set
 
 
 def test_invalid_oracle_target_still_yields_valid_output():
     # grammar-violating target: two <sub> in a row
-    scorer = oracle_scorer([SUB, SUB, EOS], vocab_size=V)
+    scorer = OracleScorer([SUB, SUB, EOS], vocab_size=V)
     for h in beam_search("", scorer, TRIES, DecodeConfig(beam_size=4, max_len=32)):
         assert parse(h.tokens, CAT, TOK).ok
 
@@ -158,7 +159,7 @@ def test_invalid_oracle_target_still_yields_valid_output():
 def test_uniform_ranking_is_length_then_lex():
     cat = build_catalog(["aa", "ab"], ["r"])
     tries = make_tries(cat)
-    hyps = beam_search("", uniform_scorer(V), tries, DecodeConfig(beam_size=6, max_len=30, max_triplets=1))
+    hyps = beam_search("", UniformScorer(V), tries, DecodeConfig(beam_size=6, max_len=30, max_triplets=1))
     seqs = [h.tokens for h in hyps]
     # empty set shortest, then the four equal-length single triplets in lex order
     assert seqs[0] == (EOS,)
@@ -230,7 +231,7 @@ def test_constraint_non_interference():
             rng.randrange(cat.num_entities),
         )
         target = tuple(linearize([t], cat, TOK))
-        scorer = CachingScorer(oracle_scorer(target, vocab_size=V))
+        scorer = CachingScorer(OracleScorer(target, vocab_size=V))
         sequences = all_valid_sequences(cat, TOK, max_triplets=1, max_len=len(target) + 20)
         best_seq, _ = oracle_best_sequence(sequences, scorer, "")
         assert best_seq == target
@@ -240,13 +241,13 @@ def test_constraint_non_interference():
 
 def test_empty_set_only_for_empty_catalog():
     empty = build_trie([], TOK)
-    results = decode("", uniform_scorer(V), CAT, (empty, empty), DecodeConfig(beam_size=2), TOK)
+    results = decode("", UniformScorer(V), CAT, (empty, empty), DecodeConfig(beam_size=2), TOK)
     assert results == [(frozenset(), pytest.approx(-float(__import__("math").log(V))))]
 
 
 def test_no_complete_hypothesis_carries_best_partial():
     with pytest.raises(NoCompleteHypothesis) as exc_info:
-        beam_search("", uniform_scorer(V), TRIES, DecodeConfig(beam_size=2, max_len=3, allow_empty_set=False))
+        beam_search("", UniformScorer(V), TRIES, DecodeConfig(beam_size=2, max_len=3, allow_empty_set=False))
     partial = exc_info.value.best_partial
     assert partial is not None
     assert not partial.finished
@@ -257,11 +258,19 @@ def test_duplicate_sets_can_appear_in_results():
     cat = build_catalog(["a"], ["r"])
     tries = make_tries(cat)
     cfg = DecodeConfig(beam_size=12, max_len=40, max_triplets=2, allow_empty_set=False)
-    results = decode("", uniform_scorer(V), cat, tries, cfg, TOK)
+    results = decode("", UniformScorer(V), cat, tries, cfg, TOK)
     sets = [ts for ts, _ in results]
     only = frozenset({Triplet(0, 0, 0)})
     # the single block and the duplicated block both linearize to {only}
     assert sets.count(only) == 2
+
+
+def test_decode_refuses_same_size_tries_of_other_names():
+    cat = build_catalog(["Paris", "Rome", "Tiber"], ["capital of"])
+    tries = make_tries(build_catalog(["Seine", "Oslo", "Bern"], ["capital of"]))
+    cfg = DecodeConfig(beam_size=2, max_triplets=1, allow_empty_set=False)
+    with pytest.raises(InvalidSequence, match="another catalog"):
+        decode("", UniformScorer(V), cat, tries, cfg, TOK)
 
 
 def test_max_triplets_respected():
@@ -294,8 +303,8 @@ def test_length_alpha_changes_ranking():
     # with heavy normalization longer sequences can outrank the empty set
     cat = build_catalog(["a"], ["r"])
     tries = make_tries(cat)
-    raw = beam_search("", uniform_scorer(V), tries, DecodeConfig(beam_size=3, max_len=30, max_triplets=1))
-    norm = beam_search("", uniform_scorer(V), tries, DecodeConfig(beam_size=3, max_len=30, max_triplets=1, length_alpha=1.0))
+    raw = beam_search("", UniformScorer(V), tries, DecodeConfig(beam_size=3, max_len=30, max_triplets=1))
+    norm = beam_search("", UniformScorer(V), tries, DecodeConfig(beam_size=3, max_len=30, max_triplets=1, length_alpha=1.0))
     assert raw[0].tokens == (EOS,)
     assert all(h.score(1.0) == pytest.approx(raw[0].score(1.0)) for h in norm)
 
@@ -335,7 +344,7 @@ def test_array_step_equals_object_reference():
         if kind == 0:
             scorer = CachingScorer(RandomScorer(rng.randrange(1 << 30), V))
         elif kind == 1:
-            scorer = uniform_scorer(V)
+            scorer = UniformScorer(V)
         elif kind == 2:
             scorer = _tied_table_scorer(rng, cat)
         else:

@@ -18,6 +18,7 @@ from factbeam import (
     build_trie,
     load_catalog,
     load_trie,
+    names_digest,
     read_catalog_rows,
     read_counts,
     read_documents,
@@ -278,9 +279,17 @@ def test_trie_bytes_deterministic(tmp_path):
 
 
 def test_trie_bad_magic(tmp_path):
-    path = tmp_path / "bad.trie"
-    path.write_bytes(b"NOTATRIE" + b"\x00" * 32)
-    with pytest.raises(TrieFormatError, match="header"):
+    path = tmp_path / "old.trie"
+    save_trie(trie_of(["Rome", "Paris"]), path)
+    path.write_bytes(b"FBTRIE01" + path.read_bytes()[len(TRIE_MAGIC) :])
+    with pytest.raises(TrieFormatError, match="not a trie artifact of this tool version"):
+        load_trie(path)
+
+
+def test_trie_truncated_header(tmp_path):
+    path = tmp_path / "cut.trie"
+    path.write_bytes(TRIE_MAGIC + b"\x00" * 32)
+    with pytest.raises(TrieFormatError, match="truncated trie artifact header"):
         load_trie(path)
 
 
@@ -313,8 +322,8 @@ def _set(field, index, value):
         (_set("offsets", 0, 1), "edge offsets"),
         (_set("offsets", 1, lambda a: a["offsets"][2] + 1), "edge offsets"),  # decreases
         (_set("offsets", -1, lambda a: a["offsets"][-1] + 1), "edge offsets"),  # past n_edges
-        (_set("targets", 0, 0), "edge target"),  # the root is no one's child
-        (_set("targets", 0, lambda a: len(a["terminal"])), "edge target"),
+        # the root's edges move to node 1, which becomes its own child
+        (_set("offsets", 1, 0), "child id below its parent"),
         (_set("tokens", 1, lambda a: a["tokens"][0]), "not strictly ascending"),  # repeated edge
         (_set("tokens", 0, lambda a: a["tokens"][1] + 1), "not strictly ascending"),
         (_set("terminal", 0, -2), "terminal ids"),
@@ -323,32 +332,42 @@ def _set(field, index, value):
 )
 def test_trie_corrupt_arrays(tmp_path, mutate, match):
     trie = trie_of(["Rome", "Romeo", "Paris"])
-    arrays = {f: np.array(getattr(trie, f)) for f in ("offsets", "tokens", "targets", "terminal")}
+    arrays = {f: np.array(getattr(trie, f)) for f in ("offsets", "tokens", "terminal")}
     mutate(arrays)
     path = tmp_path / "corrupt.trie"
-    save_trie(TokenTrie(**arrays), path)
+    save_trie(TokenTrie(**arrays, names_sha256=trie.names_sha256), path)
     with pytest.raises(TrieFormatError, match=match):
         load_trie(path)
 
 
 @pytest.mark.parametrize(
-    "delta_nodes, delta_edges, match",
-    [
-        (-100, 0, "node/edge counts"),
-        (0, -100, "node/edge counts"),
-        (1, 0, "truncated trie"),
-        (0, -1, "trailing bytes"),
-    ],
+    "delta_nodes, match",
+    [(-100, "node count"), (1, "truncated trie"), (-1, "trailing bytes")],
 )
-def test_trie_bad_header_counts(tmp_path, delta_nodes, delta_edges, match):
+def test_trie_bad_header_counts(tmp_path, delta_nodes, match):
     path = tmp_path / "bad.trie"
     save_trie(trie_of(["Rome", "Paris"]), path)
     data = bytearray(path.read_bytes())
-    n, n_edges = struct.unpack_from("<qq", data, len(TRIE_MAGIC))
-    struct.pack_into("<qq", data, len(TRIE_MAGIC), n + delta_nodes, n_edges + delta_edges)
+    (n,) = struct.unpack_from("<q", data, len(TRIE_MAGIC))
+    struct.pack_into("<q", data, len(TRIE_MAGIC), n + delta_nodes)
     path.write_bytes(bytes(data))
     with pytest.raises(TrieFormatError, match=match):
         load_trie(path)
+
+
+def test_trie_header_carries_names_digest(tmp_path):
+    pairs = [(1, "Rome"), (0, "Paris")]
+    path = tmp_path / "e.trie"
+    trie = build_trie(pairs, TOK)
+    assert trie.names_sha256 == bytes(32)  # in-process builds are unbound
+    save_trie(trie, path, names_digest(pairs))
+    digest = hashlib.sha256("0\tParis\n1\tRome\n".encode("utf-8")).digest()
+    assert path.read_bytes()[len(TRIE_MAGIC) + 8 : len(TRIE_MAGIC) + 40] == digest
+    loaded = load_trie(path)
+    assert loaded.names_sha256 == digest == names_digest(pairs)
+    assert names_digest([(0, "Rome"), (1, "Paris")]) != digest
+    save_trie(loaded, path)  # a bound trie keeps its digest
+    assert load_trie(path) == loaded
 
 
 def test_sha256_file(tmp_path):

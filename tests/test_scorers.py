@@ -6,11 +6,11 @@ import pytest
 
 from factbeam import (
     NGramScorer,
+    OracleScorer,
     RandomScorer,
     TableScorer,
-    oracle_scorer,
+    UniformScorer,
     train_ngram,
-    uniform_scorer,
 )
 from factbeam.tokens import ByteTokenizer
 
@@ -28,20 +28,20 @@ def assert_normalized(table, tol=1e-6):
 
 
 def test_uniform_values():
-    s = uniform_scorer(10)
+    s = UniformScorer(10)
     table = s.next_log_probs("", [])
     assert np.allclose(table, -math.log(10))
     assert_normalized(table)
 
 
 def test_uniform_ignores_context_and_prefix():
-    s = uniform_scorer(V)
+    s = UniformScorer(V)
     assert np.array_equal(s.next_log_probs("a", [1, 2]), s.next_log_probs("b", []))
 
 
 def test_uniform_rejects_empty_vocab():
     with pytest.raises(ValueError):
-        uniform_scorer(0)
+        UniformScorer(0)
 
 
 # --- oracle ------------------------------------------------------------------
@@ -49,7 +49,7 @@ def test_uniform_rejects_empty_vocab():
 
 def test_oracle_along_target():
     target = [0, 7, 9, 4]
-    s = oracle_scorer(target, vocab_size=100, mass=0.99)
+    s = OracleScorer(target, vocab_size=100, mass=0.99)
     for i in range(len(target)):
         table = s.next_log_probs("", target[:i])
         assert table[target[i]] == pytest.approx(math.log(0.99))
@@ -60,18 +60,18 @@ def test_oracle_along_target():
 
 def test_oracle_uniform_off_target_and_past_end():
     target = [0, 7, 9, 4]
-    s = oracle_scorer(target, vocab_size=50)
+    s = OracleScorer(target, vocab_size=50)
     assert np.allclose(s.next_log_probs("", [1]), -math.log(50))
     assert np.allclose(s.next_log_probs("", target), -math.log(50))
 
 
 def test_oracle_validation():
     with pytest.raises(ValueError):
-        oracle_scorer([], vocab_size=10)
+        OracleScorer([], vocab_size=10)
     with pytest.raises(ValueError):
-        oracle_scorer([3], vocab_size=10, mass=1.0)
+        OracleScorer([3], vocab_size=10, mass=1.0)
     with pytest.raises(ValueError):
-        oracle_scorer([11], vocab_size=10)
+        OracleScorer([11], vocab_size=10)
 
 
 # --- table ---------------------------------------------------------------------
@@ -190,8 +190,8 @@ def test_all_scorers_normalized_everywhere():
     rng = random.Random(3)
     corpus = [[rng.randrange(V) for _ in range(10)] for _ in range(5)]
     scorers = [
-        uniform_scorer(V),
-        oracle_scorer([1, 2, 3], vocab_size=V),
+        UniformScorer(V),
+        OracleScorer([1, 2, 3], vocab_size=V),
         RandomScorer(0, V),
         train_ngram(corpus, n=3, tokenizer=TOK),
     ]
