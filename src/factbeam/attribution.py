@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .linearize import MentionedTriplet, Triplet
-from .metrics import EvalPair, count_rows
+from .metrics import EvalPair, micro_totals
 
 NEL_WEIGHTS = frozenset({2, 4, 5, 6})
 RC_WEIGHTS = frozenset({3, 4, 6})
@@ -118,8 +118,7 @@ def recall_error(pairs: Iterable[EvalPair]) -> float:
     verbatim exactly when it is predicted; the fraction is read from the
     documents' relation counts without matching.
     """
-    rows = count_rows(pairs)
-    correct, total = int(rows[:, 1].sum()), int(rows[:, 3].sum())
+    correct, _, total = micro_totals(pairs)
     return (total - correct) / total if total else 0.0
 
 

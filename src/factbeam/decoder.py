@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
@@ -64,8 +65,8 @@ class DecodeConfig:
             raise ValueError("beam_size must be >= 1")
         if self.max_len < 2:
             raise ValueError("max_len must be >= 2")
-        if self.length_alpha < 0:
-            raise ValueError("length_alpha must be >= 0")
+        if not (math.isfinite(self.length_alpha) and self.length_alpha >= 0):
+            raise ValueError("length_alpha must be finite and >= 0")
         if self.max_triplets is not None and self.max_triplets < 0:
             raise ValueError("max_triplets must be >= 0")
 

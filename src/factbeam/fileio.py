@@ -219,9 +219,12 @@ def read_documents(path: str | Path, cat: Catalog) -> list[Document]:
 
     def parse(record: dict) -> Document:
         doc_id = unique_id(record)
+        text = record.get("input", "")
+        if not isinstance(text, str):
+            raise ValueError('"input" must be a string')
         raw = _triplet_objects(record.get("triplets", []), "triplets")
         triplets = tuple(triplet_from_json(obj, cat, doc_id) for obj in raw)
-        return Document(doc_id, record.get("input", ""), triplets)
+        return Document(doc_id, text, triplets)
 
     return read_jsonl(path, parse)
 
@@ -272,6 +275,8 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], object] | None = None) 
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            except RecursionError:
+                raise ValueError(f"{path}:{lineno}: invalid JSON: nested too deeply") from None
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object")
             if parse is not None:

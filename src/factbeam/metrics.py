@@ -5,12 +5,11 @@ A predicted triplet counts as correct only if it appears verbatim in
 the document's gold set. Micro scores weight every triplet instance
 equally; macro scores weight every relation type equally.
 
-Every score is a vectorised reduction of one table: each document's
-(relation, correct, predicted, gold) count rows, an int64 array
-computed once per `EvalPair`. The rows of the documents being scored
-are stacked and summed, per relation or overall, so a bootstrap
-resample costs a few array operations rather than a Python loop over
-its triplets.
+Every score reduces one table: each document's (relation, correct,
+predicted, gold) count rows, stacked once per corpus. A row counts with
+its document's weight, 1 in a plain sequence of pairs and the draw count
+in a bootstrap resample. The float64 weighted sums are exact (every
+partial sum is an integer below 2^53) and become ints before division.
 """
 
 from __future__ import annotations
@@ -97,24 +96,58 @@ def _prf(correct: int, n_pred: int, n_gold: int) -> PRF:
     return PRF(p, r, f1_score(p, r), frozenset(flags))
 
 
-_NO_ROWS = np.zeros((0, 4), dtype=np.int64)
+class _CountTable:
+    """Every document's relation-count rows, stacked: the (3, N) float64
+    correct, n_pred and n_gold counts, each row's document index, the
+    ascending relation ids and each row's position among them."""
+
+    def __init__(self, pairs: Iterable[EvalPair]) -> None:
+        tables = [pair.relation_counts for pair in pairs]
+        rows = np.concatenate(tables or [np.zeros((0, 4), dtype=np.int64)])
+        self.doc = np.repeat(np.arange(len(tables)), [len(t) for t in tables])
+        self.rels, self.position = np.unique(rows[:, 0], return_inverse=True)
+        self.counts = np.ascontiguousarray(rows[:, 1:].T, dtype=np.float64)
 
 
-def count_rows(pairs: Iterable[EvalPair]) -> np.ndarray:
-    """Every document's relation-count rows, stacked."""
-    return np.concatenate([pair.relation_counts for pair in pairs] or [_NO_ROWS])
+class _Resample(Sequence[EvalPair]):
+    """A read-only bootstrap resample. It reads as the drawn pairs in draw
+    order; the scores reduce the corpus table it carries instead, with
+    each document's draw count as its weight."""
+
+    def __init__(self, pairs: Sequence[EvalPair], idx: np.ndarray, table: _CountTable) -> None:
+        self._pairs, self._idx, self.table = pairs, idx, table
+        self.weights = np.bincount(idx, minlength=len(pairs))
+
+    def __len__(self) -> int:
+        return len(self._idx)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._pairs[j] for j in self._idx[i].tolist()]
+        return self._pairs[self._idx[i]]
+
+
+def _weighted_rows(pairs: Iterable[EvalPair]) -> tuple[_CountTable, np.ndarray]:
+    """The count table under `pairs` and the weight of each of its rows."""
+    if isinstance(pairs, _Resample):
+        return pairs.table, pairs.weights[pairs.table.doc]
+    table = _CountTable(pairs)
+    return table, np.ones(len(table.doc))
+
+
+def micro_totals(pairs: Iterable[EvalPair]) -> tuple[int, int, int]:
+    """(correct, n_pred, n_gold) summed over the documents."""
+    table, w = _weighted_rows(pairs)
+    return tuple(int(total) for total in table.counts @ w)
 
 
 def _relation_totals(pairs: Sequence[EvalPair]) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending relation ids and their (3, k) int64 totals of correct,
-    n_pred and n_gold, summed over the documents."""
-    rows = count_rows(pairs)
-    if not len(rows):
-        return rows[:, 0], rows[:, 1:].T
-    rows = rows[rows[:, 0].argsort()]
-    rels = rows[:, 0]
-    starts = np.flatnonzero(np.r_[True, rels[1:] != rels[:-1]])
-    return rels[starts], np.add.reduceat(rows[:, 1:], starts).T
+    """Ascending ids of the relations occurring in `pairs` and their
+    (3, k) int64 totals of correct, n_pred and n_gold."""
+    table, w = _weighted_rows(pairs)
+    totals = np.array([np.bincount(table.position, c, len(table.rels)) for c in table.counts * w])
+    present = totals[1] + totals[2] > 0
+    return table.rels[present], totals[:, present].astype(np.int64)
 
 
 def _check_grounded(rels: np.ndarray, cat: Catalog) -> None:
@@ -131,13 +164,10 @@ def micro_scores(pairs: Sequence[EvalPair]) -> PRF:
     p = sum over docs |P & G| / sum |P|; r uses sum |G|. A zero
     denominator yields score 0 with the matching flag set.
     """
-    rows = count_rows(pairs)
-    return _prf(*(int(rows[:, column].sum()) for column in (1, 2, 3)))
+    return _prf(*micro_totals(pairs))
 
 
-def per_relation_scores(
-    pairs: Sequence[EvalPair], cat: Catalog
-) -> dict[int, RelationScore]:
+def per_relation_scores(pairs: Sequence[EvalPair], cat: Catalog) -> dict[int, RelationScore]:
     """Micro scores restricted to each relation with any occurrence.
 
     Relations with zero gold and zero predicted triplets are excluded.
@@ -155,9 +185,7 @@ def _per_relation(rels: np.ndarray, totals: np.ndarray) -> dict[int, RelationSco
     return out
 
 
-def macro_scores(
-    pairs: Sequence[EvalPair], cat: Catalog, zero_denominator: str = "zero"
-) -> PRF:
+def macro_scores(pairs: Sequence[EvalPair], cat: Catalog, zero_denominator: str = "zero") -> PRF:
     """(p, r, f1) weighting every relation type equally.
 
     Per-relation micro p and r are averaged over all relations with at
@@ -232,14 +260,9 @@ def bucketed_f1(
     bucket_of = bucket_relations(occurrence_counts)
     histogram = Counter(bucket_of.values())
     rels, totals = _relation_totals(pairs)
-    sums: dict[int, list[int]] = {}
-    for rel, row in zip(rels.tolist(), totals.T.tolist()):
-        acc = sums.setdefault(bucket_of.get(rel, -1), [0, 0, 0])
-        for i in range(3):
-            acc[i] += row[i]
-    return {
-        bucket: (_prf(*sums[bucket]).f1, histogram[bucket]) for bucket in sorted(sums)
-    }
+    buckets = np.array([bucket_of.get(rel, -1) for rel in rels.tolist()], dtype=np.int64)
+    sums = {b: totals[:, buckets == b].sum(axis=1).tolist() for b in np.unique(buckets).tolist()}
+    return {bucket: (_prf(*sums[bucket]).f1, histogram[bucket]) for bucket in sums}
 
 
 def bootstrap_ci(
@@ -253,7 +276,10 @@ def bootstrap_ci(
 
     Documents are drawn with replacement B times; the interval is the
     [(1-level)/2, (1+level)/2] quantile pair of the statistic values.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. The statistic gets each resample as
+    a read-only sequence of the drawn pairs in draw order; this module's
+    scores read it as the corpus count table, built once, weighted by
+    the documents' draw counts.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
@@ -263,9 +289,7 @@ def bootstrap_ci(
         raise ValueError("cannot bootstrap an empty corpus")
     rng = np.random.default_rng(seed)
     n = len(pairs)
-    values = np.empty(B)
-    for b in range(B):
-        idx = rng.integers(0, n, size=n)
-        values[b] = statistic([pairs[i] for i in idx.tolist()])
+    table = _CountTable(pairs)
+    values = [statistic(_Resample(pairs, rng.integers(0, n, size=n), table)) for _ in range(B)]
     lo, hi = (1.0 - level) / 2.0, (1.0 + level) / 2.0
     return float(np.quantile(values, lo)), float(np.quantile(values, hi))

@@ -9,7 +9,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -452,6 +452,25 @@ def ref_recall_error(pairs: Sequence[EvalPair]) -> float:
             missed += n_gold - correct
             total += n_gold
     return missed / total if total else 0.0
+
+
+def ref_bootstrap_ci(
+    pairs: Sequence[EvalPair],
+    statistic: Callable[[Sequence[EvalPair]], float],
+    B: int = 1000,
+    level: float = 0.95,
+    seed: int = 0,
+) -> tuple[float, float]:
+    """The bootstrap as a loop that hands the statistic a fresh list of
+    the drawn pairs per resample, drawn as `bootstrap_ci` draws."""
+    rng = np.random.default_rng(seed)
+    n = len(pairs)
+    values = np.empty(B)
+    for b in range(B):
+        idx = rng.integers(0, n, size=n)
+        values[b] = statistic([pairs[i] for i in idx.tolist()])
+    lo, hi = (1.0 - level) / 2.0, (1.0 + level) / 2.0
+    return float(np.quantile(values, lo)), float(np.quantile(values, hi))
 
 
 # --- attribution oracles ------------------------------------------------------

@@ -201,6 +201,40 @@ def test_decode_non_object_line(tmp_path, catalog_files, capsys):
     assert_clean_failure(rc, capsys, out, f"{docs}:2: expected a JSON object")
 
 
+@pytest.mark.parametrize("bad_file, scorer", [("input", "uniform"), ("input", "ngram"), ("scorer", "ngram")])
+def test_decode_non_string_input(tmp_path, catalog_files, capsys, bad_file, scorer):
+    good = docs_file(tmp_path, "good.jsonl", GOLD_RECORDS)
+    bad = docs_file(tmp_path, "bad.jsonl", [GOLD_RECORDS[0], {"id": "a", "input": 5}])
+    docs, scorer_data = (bad, good) if bad_file == "input" else (good, bad)
+    spec = "uniform" if scorer == "uniform" else f"ngram:{scorer_data}"
+    rc, out = run_decode(tmp_path, catalog_files, docs, ["--scorer", spec])
+    assert_clean_failure(rc, capsys, out, f'{bad}:2: "input" must be a string')
+
+
+def test_decode_missing_input_defaults_to_empty(tmp_path, catalog_files):
+    docs = docs_file(tmp_path, "docs.jsonl", [{"id": "a"}])
+    rc, out = run_decode(tmp_path, catalog_files, docs, ["--scorer", f"ngram:{docs}"])
+    assert rc == 0
+    assert [r["id"] for r in read_jsonl(out)] == ["a"]
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_decode_deeply_nested_record(tmp_path, catalog_files, capsys):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text('{"id": "d1", "input": "x"}\n{"id": "d2", "input": ' + DEEP + "}\n", encoding="utf-8")
+    rc, out = run_decode(tmp_path, catalog_files, str(docs), ["--scorer", "uniform"])
+    assert_clean_failure(rc, capsys, out, f"{docs}:2: invalid JSON: nested too deeply")
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_decode_non_finite_length_alpha(tmp_path, catalog_files, capsys, alpha):
+    docs = docs_file(tmp_path, "docs.jsonl", GOLD_RECORDS)
+    rc, out = run_decode(tmp_path, catalog_files, docs, ["--scorer", "uniform", f"--length-alpha={alpha}"])
+    assert_clean_failure(rc, capsys, out, "length_alpha must be finite and >= 0")
+
+
 # --- evaluate ---------------------------------------------------------------------
 
 
@@ -469,6 +503,18 @@ def test_candidate_without_integer_rank(tmp_path, catalog_files, capsys, candida
         ["evaluate", "--gold", gold, "--pred", pred, "--entities", ent, "--relations", rel, "--out", str(out)]
     )
     assert_clean_failure(rc, capsys, out, f'{pred}:2: "candidates" must be objects with an integer "rank" and a "triplets" list')
+
+
+def test_evaluate_deeply_nested_prediction(tmp_path, catalog_files, capsys):
+    ent, rel = catalog_files
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text('{"id": "d1", "triplets": []}\n{"id": "d2", "triplets": ' + DEEP + "}\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    rc = main(
+        ["evaluate", "--gold", gold, "--pred", str(pred), "--entities", ent, "--relations", rel, "--out", str(out)]
+    )
+    assert_clean_failure(rc, capsys, out, f"{pred}:2: invalid JSON: nested too deeply")
 
 
 BAD_TRIPLETS = '"triplets" must be a list of triplet objects'

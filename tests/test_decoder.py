@@ -299,6 +299,12 @@ def test_config_validation():
         DecodeConfig(beam_size=1, length_alpha=-0.1)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_length_alpha(alpha):
+    with pytest.raises(ValueError, match="length_alpha must be finite"):
+        DecodeConfig(beam_size=1, length_alpha=alpha)
+
+
 def test_length_alpha_changes_ranking():
     # with heavy normalization longer sequences can outrank the empty set
     cat = build_catalog(["a"], ["r"])

@@ -7,6 +7,7 @@ import pytest
 
 from factbeam import (
     EvalPair,
+    ScoreReport,
     Triplet,
     bootstrap_ci,
     bucket_relations,
@@ -27,6 +28,7 @@ from helpers import (
     rand_catalog,
     rand_eval_pairs,
     rand_triplet_set,
+    ref_bootstrap_ci,
     ref_bucketed_f1,
     ref_macro_scores,
     ref_micro_scores,
@@ -252,6 +254,85 @@ def test_bootstrap_intervals_equal_dict_loop_reference():
             ))
         for stat, ref in statistics:
             assert bootstrap_ci(pairs, stat, B=60, seed=5) == bootstrap_ci(pairs, ref, B=60, seed=5)
+
+
+def _resample_corpora(seed: int, trials: int):
+    """`_reference_corpora` without the empty corpus, plus a one-document
+    corpus and a one-document corpus with empty predicted and gold sets."""
+    corpora = [(cat, pairs) for cat, pairs in _reference_corpora(seed, trials) if pairs]
+    rng = random.Random(seed)
+    return corpora + [
+        (CAT, rand_eval_pairs(rng, CAT, 1)),
+        (CAT, [pair("empty", set(), set())]),
+    ]
+
+
+def _custom_statistic(ps) -> float:
+    """Reads the resample through len, a negative index, a slice and
+    iteration, and scores its first half as a plain list."""
+    head = ps[: (len(ps) + 1) // 2]
+    return (
+        len(ps[-1].gold)
+        + sum(len(p.predicted) for p in ps) / len(ps)
+        + micro_scores(head).f1
+    )
+
+
+def test_bootstrap_equals_fresh_list_reference():
+    for cat, pairs in _resample_corpora(43, 12):
+        statistics = [lambda ps: micro_scores(ps).f1, _custom_statistic]
+        for mode in ("zero", "exclude"):
+            statistics.append(lambda ps, mode=mode: macro_scores(ps, cat, mode).f1)
+        for stat in statistics:
+            for B in (1, 40):
+                assert bootstrap_ci(pairs, stat, B=B, seed=B) == ref_bootstrap_ci(pairs, stat, B=B, seed=B)
+
+
+def test_resample_reads_as_the_drawn_pairs():
+    for _, pairs in _resample_corpora(47, 6):
+        seen = []
+        bootstrap_ci(pairs, lambda ps: seen.append(ps) or 0.0, B=4, seed=3)
+        rng = np.random.default_rng(3)
+        for ps in seen:
+            drawn = [pairs[i] for i in rng.integers(0, len(pairs), size=len(pairs)).tolist()]
+            assert len(ps) == len(drawn) and list(ps) == drawn
+            assert [ps[i] for i in range(-len(ps), len(ps))] == drawn + drawn
+            assert ps[1:-1:2] == drawn[1:-1:2] and ps[::-1] == drawn[::-1]
+            with pytest.raises(IndexError):
+                ps[len(ps)]
+
+
+def _score_or_error(score, *args):
+    try:
+        return score(*args)
+    except KeyError as exc:
+        return exc.args
+
+
+def test_every_score_reads_a_resample_as_its_pairs():
+    """Each score of a resample equals its score of the drawn pairs as a
+    plain list, relations no drawn document holds and ungrounded ids in
+    undrawn documents included."""
+    ungrounded = pair("ungrounded", {T(0, 99, 1), T(1, 0, 2)}, {T(0, -1, 1)})
+    corpora = _resample_corpora(53, 20) + [(CAT, rand_eval_pairs(random.Random(53), CAT, 5) + [ungrounded])]
+    for cat, pairs in corpora:
+        counts = {rel: rel % 5 for rel in range(0, cat.num_relations, 2)}
+
+        def check(ps):
+            drawn = list(ps)
+            assert micro_scores(ps) == micro_scores(drawn)
+            assert recall_error(ps) == recall_error(drawn)
+            assert bucketed_f1(ps, counts) == bucketed_f1(drawn, counts)
+            scores = [(per_relation_scores, cat)]
+            scores += [(score, cat, mode) for score in (macro_scores, score_report) for mode in ("zero", "exclude")]
+            for score, *args in scores:
+                assert _score_or_error(score, ps, *args) == _score_or_error(score, drawn, *args)
+            report = _score_or_error(score_report, ps, cat)
+            if isinstance(report, ScoreReport):
+                assert all(type(s.support) is int for s in report.per_relation.values())
+            return 0.0
+
+        bootstrap_ci(pairs, check, B=15, seed=7)
 
 
 @pytest.mark.parametrize("rels", [[-1], [5], [2, 99, 7], [-3, 1, 5, -1]])
