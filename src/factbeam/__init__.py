@@ -32,7 +32,6 @@ from .catalog import (
     build_catalog,
     build_trie,
     names_digest,
-    restrict_relations,
 )
 from .decoder import (
     DecodeConfig,
@@ -40,7 +39,6 @@ from .decoder import (
     InvalidScores,
     InvalidSequence,
     NoCompleteHypothesis,
-    Phase,
     Scorer,
     allowed_tokens,
     beam_search,
@@ -99,20 +97,20 @@ from .scorers import (
     UniformScorer,
     train_ngram,
 )
-from .tokens import EOS, ET, NUM_SPECIAL, OBJ, REL, SUB, ByteTokenizer, Tokenizer
+from .tokens import EOS, ET, GRAMMAR, NUM_SPECIAL, OBJ, REL, SUB, ByteTokenizer, Tokenizer
 
 __all__ = [
     "__version__",
     # tokens
-    "SUB", "REL", "OBJ", "ET", "EOS", "NUM_SPECIAL", "ByteTokenizer", "Tokenizer",
+    "SUB", "REL", "OBJ", "ET", "EOS", "GRAMMAR", "NUM_SPECIAL", "ByteTokenizer", "Tokenizer",
     # catalog
     "Catalog", "CatalogError", "DuplicateName", "EmptyName", "InvalidPrefix",
-    "TokenTrie", "build_catalog", "build_trie", "names_digest", "restrict_relations",
+    "TokenTrie", "build_catalog", "build_trie", "names_digest",
     # linearize
     "Triplet", "MentionedTriplet", "Diagnostic", "ParseResult", "UnknownId",
     "linearize", "order_triplets", "parse",
     # decoder
-    "Scorer", "Phase", "Hypothesis", "DecodeConfig", "InvalidScores", "InvalidSequence",
+    "Scorer", "Hypothesis", "DecodeConfig", "InvalidScores", "InvalidSequence",
     "NoCompleteHypothesis", "allowed_tokens", "beam_search", "decode", "score_batch",
     # scorers
     "UniformScorer", "OracleScorer", "TableScorer", "RandomScorer", "NGramScorer",

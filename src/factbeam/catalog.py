@@ -240,30 +240,3 @@ def build_trie(names_with_ids: Iterable[tuple[int, str]], tok: Tokenizer) -> Tok
     np.cumsum(np.concatenate(degrees), out=offsets[1:])
     return TokenTrie(offsets, np.concatenate(tokens), terminal)
 
-
-def restrict_relations(
-    cat: Catalog, occurrence_counts: Mapping[int, int], top_n: int
-) -> tuple[Catalog, dict[int, int]]:
-    """Keep only the top_n relations by occurrence count.
-
-    Ties break toward the smaller original id; relations missing from
-    occurrence_counts count as 0. Kept relations are re-densified in
-    original id order, so top_n >= |R| returns an identity mapping.
-    Entities are untouched. Returns (new catalog, old id -> new id).
-    """
-    if top_n < 1:
-        raise ValueError(f"top_n must be >= 1, got {top_n}")
-    n = cat.num_relations
-    if top_n >= n:
-        return cat, {i: i for i in range(n)}
-    ranked = sorted(range(n), key=lambda r: (-occurrence_counts.get(r, 0), r))
-    kept = sorted(ranked[:top_n])
-    mapping = {old: new for new, old in enumerate(kept)}
-    ext = cat.relation_external_ids
-    restricted = Catalog(
-        cat.entity_names,
-        tuple(cat.relation_names[old] for old in kept),
-        cat.entity_external_ids,
-        tuple(ext[old] for old in kept) if ext is not None else None,
-    )
-    return restricted, mapping

@@ -213,10 +213,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
         ]
         return record
 
-    records = [run(doc) for doc in docs]
     out = Path(args.out)
     with _transaction() as stage:
-        write_jsonl(stage(out), records)
+        write_jsonl(stage(out), map(run, docs))
         _write_manifest(
             _manifest_path(args, out.with_name(out.name + ".manifest.json")),
             stage,

@@ -9,7 +9,6 @@ finished sequence parses with zero diagnostics.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ import numpy as np
 
 from .catalog import Catalog, TokenTrie
 from .linearize import Triplet, parse
-from .tokens import EOS, ET, OBJ, REL, SUB, ByteTokenizer, Tokenizer
+from .tokens import EOS, ET, GRAMMAR, NUM_SPECIAL, SUB, ByteTokenizer, Tokenizer
 
 
 @runtime_checkable
@@ -39,17 +38,6 @@ class Scorer(Protocol):
     vocab_size: int
 
     def next_log_probs(self, context: str, prefix: Sequence[int]) -> np.ndarray: ...
-
-
-class Phase(enum.Enum):
-    BOUNDARY = "boundary"  # expecting <sub> or <eos>
-    SUBJECT = "subject"  # inside the entity trie
-    RELATION = "relation"  # inside the relation trie
-    OBJECT = "object"  # inside the entity trie
-
-
-# phase -> (closing token, trie selector); closer legal only at a terminal cursor
-_SEGMENT_CLOSER = {Phase.SUBJECT: REL, Phase.RELATION: OBJ, Phase.OBJECT: ET}
 
 
 @dataclass(frozen=True)
@@ -73,12 +61,19 @@ class DecodeConfig:
 
 @dataclass(frozen=True)
 class Hypothesis:
+    """A beam entry. `marker` is the last marker emitted: the opener of
+    the name being read (a GRAMMAR key), ET between blocks and at the
+    start, EOS once finished."""
+
     tokens: tuple[int, ...] = ()
     log_prob: float = 0.0
-    phase: Phase = Phase.BOUNDARY
+    marker: int = ET
     cursor: int | None = None  # trie node while inside a name segment
     n_triplets: int = 0
-    finished: bool = False
+
+    @property
+    def finished(self) -> bool:
+        return self.marker == EOS
 
     def score(self, length_alpha: float) -> float:
         if length_alpha == 0.0 or not self.tokens:
@@ -108,43 +103,36 @@ def allowed_tokens(
     h: Hypothesis, tries: tuple[TokenTrie, TokenTrie], cfg: DecodeConfig
 ) -> list[int]:
     """Tokens that keep `h` a prefix of some valid linearization, ascending."""
-    if h.finished:
+    if h.marker == EOS:
         raise ValueError("finished hypothesis cannot be extended")
-    entity_trie, relation_trie = tries
-    if h.phase is Phase.BOUNDARY:
+    if h.marker == ET:
         out: list[int] = []
         # a new block is only enterable when both tries can complete it
-        can_open = len(entity_trie) > 0 and len(relation_trie) > 0
+        can_open = len(tries[0]) > 0 and len(tries[1]) > 0
         if can_open and (cfg.max_triplets is None or h.n_triplets < cfg.max_triplets):
             out.append(SUB)
         if h.n_triplets > 0 or cfg.allow_empty_set:
             out.append(EOS)
         return out
-    trie = relation_trie if h.phase is Phase.RELATION else entity_trie
+    closer, cls = GRAMMAR[h.marker]
+    trie = tries[cls]
     out = list(trie.children_of(h.cursor))
     if trie.terminal_id(h.cursor) is not None:
-        out.insert(0, _SEGMENT_CLOSER[h.phase])  # special ids lie below every content id
+        out.insert(0, closer)  # special ids lie below every content id
     return out
 
 
 def _extend(
     h: Hypothesis, token: int, lp: float, tries: tuple[TokenTrie, TokenTrie]
 ) -> Hypothesis:
-    entity_trie, relation_trie = tries
     tokens = h.tokens + (token,)
     log_prob = h.log_prob + lp
-    if token == SUB:
-        return Hypothesis(tokens, log_prob, Phase.SUBJECT, entity_trie.ROOT, h.n_triplets)
-    if token == REL:
-        return Hypothesis(tokens, log_prob, Phase.RELATION, relation_trie.ROOT, h.n_triplets)
-    if token == OBJ:
-        return Hypothesis(tokens, log_prob, Phase.OBJECT, entity_trie.ROOT, h.n_triplets)
-    if token == ET:
-        return Hypothesis(tokens, log_prob, Phase.BOUNDARY, None, h.n_triplets + 1)
-    if token == EOS:
-        return Hypothesis(tokens, log_prob, Phase.BOUNDARY, None, h.n_triplets, finished=True)
-    trie = relation_trie if h.phase is Phase.RELATION else entity_trie
-    return Hypothesis(tokens, log_prob, h.phase, trie.child(h.cursor, token), h.n_triplets)
+    if token >= NUM_SPECIAL:
+        cursor = tries[GRAMMAR[h.marker][1]].child(h.cursor, token)
+        return Hypothesis(tokens, log_prob, h.marker, cursor, h.n_triplets)
+    if token in GRAMMAR:  # a marker that opens a name
+        return Hypothesis(tokens, log_prob, token, tries[GRAMMAR[token][1]].ROOT, h.n_triplets)
+    return Hypothesis(tokens, log_prob, token, None, h.n_triplets + (token == ET))
 
 
 def score_batch(scorer: Scorer, context: str, prefixes: Sequence[Sequence[int]]) -> np.ndarray:

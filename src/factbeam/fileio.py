@@ -96,15 +96,20 @@ def read_counts(path: str | Path, cat: Catalog) -> dict[int, int]:
     """Relation occurrence counts keyed by catalog relation id.
 
     Rows naming relations outside the catalog are skipped with a
-    warning; they cannot affect triplets grounded in the catalog.
+    warning; they cannot affect triplets grounded in the catalog. A
+    relation named on two rows is refused.
     """
     out: dict[int, int] = {}
+    seen: set[str] = set()
     with open(path, encoding="utf-8", newline="\n") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
             name, _, raw = line.partition("\t")
+            if name in seen:
+                raise CatalogError(f"{path}:{lineno}: duplicate relation {name!r}")
+            seen.add(name)
             try:
                 count = int(raw)
             except ValueError:
@@ -252,7 +257,10 @@ def read_mentions(path: str | Path) -> dict[str, list[tuple[int, int]]]:
 
     def parse(record: dict) -> tuple[str, list[tuple[int, int]]]:
         doc_id = unique_id(record)
-        spans = [_span(s, doc_id) for s in record.get("spans", ())]
+        raw = record.get("spans", [])
+        if not isinstance(raw, list):
+            raise ValueError('"spans" must be a list of [start, end] pairs')
+        spans = [_span(s, doc_id) for s in raw]
         return doc_id, [s for s in spans if s is not None]
 
     return dict(read_jsonl(path, parse))

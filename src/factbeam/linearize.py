@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .catalog import Catalog
-from .tokens import EOS, ET, NUM_SPECIAL, OBJ, REL, SUB, Tokenizer
+from .tokens import EOS, ET, GRAMMAR, NUM_SPECIAL, SUB, Tokenizer
 
 
 class UnknownId(KeyError):
@@ -113,40 +113,31 @@ def linearize(
 
     Raises UnknownId if any id falls outside the catalog.
     """
+    name_of = (cat.entity_name, cat.relation_name)
     out: list[int] = []
     for item in items:
         t = _as_mentioned(item).triplet
-        try:
-            sub_name = cat.entity_name(t.subject)
-            rel_name = cat.relation_name(t.relation)
-            obj_name = cat.entity_name(t.object)
-        except KeyError as exc:
-            raise UnknownId(f"{t} not grounded in catalog: {exc}") from exc
-        out.append(SUB)
-        out.extend(tok.encode(sub_name))
-        out.append(REL)
-        out.extend(tok.encode(rel_name))
-        out.append(OBJ)
-        out.extend(tok.encode(obj_name))
+        for (opener, (_, cls)), ident in zip(GRAMMAR.items(), (t.subject, t.relation, t.object)):
+            try:
+                name = name_of[cls](ident)
+            except KeyError as exc:
+                raise UnknownId(f"{t} not grounded in catalog: {exc}") from exc
+            out.append(opener)
+            out.extend(tok.encode(name))
         out.append(ET)
     out.append(EOS)
     return out
 
 
-_SEGMENT_CLOSERS = {SUB: REL, REL: OBJ, OBJ: ET}  # opener -> expected closer
-
-
-def _parse_block(
-    seq: Sequence[int], start: int
-) -> tuple[tuple[list[int], list[int], list[int]] | None, int, str]:
+def _parse_block(seq: Sequence[int], start: int) -> tuple[list[list[int]] | None, int, str]:
     """Parse one <sub>...<et> block starting at seq[start] == <sub>.
 
-    Returns (segments or None, resume index, failure message). On a
-    structural error the resume index points at the offending token if
-    it could open a new block, else just past it.
+    Returns (the names' token ids in opener order or None, resume index,
+    failure message). On a structural error the resume index points at
+    the offending token if it could open a new block, else just past it.
     """
     segments: list[list[int]] = []
-    expected_closer = REL
+    opener = SUB
     current: list[int] = []
     i = start + 1
     while i < len(seq):
@@ -155,16 +146,17 @@ def _parse_block(
             current.append(t)
             i += 1
             continue
-        if t != expected_closer:
+        closer = GRAMMAR[opener][0]
+        if t != closer:
             resume = i if t == SUB else i + 1
-            return None, resume, f"expected {expected_closer}, found special {t}"
+            return None, resume, f"expected {closer}, found special {t}"
         if not current:
             return None, i + 1, "empty name segment"
         segments.append(current)
         current = []
         if t == ET:
-            return (segments[0], segments[1], segments[2]), i + 1, ""
-        expected_closer = OBJ if t == REL else ET
+            return segments, i + 1, ""
+        opener = t
         i += 1
     return None, len(seq), "block truncated"
 
@@ -203,8 +195,7 @@ def parse(seq: Sequence[int], cat: Catalog, tok: Tokenizer) -> ParseResult:
             diags.append(Diagnostic("malformed_block", i, failure))
             i = resume
             continue
-        sub_ids, rel_ids, obj_ids = segments
-        triplet = _resolve(sub_ids, rel_ids, obj_ids, cat, tok, i, diags)
+        triplet = _resolve(segments, cat, tok, i, diags)
         if triplet is not None:
             triplets.add(triplet)
         i = resume
@@ -214,20 +205,16 @@ def parse(seq: Sequence[int], cat: Catalog, tok: Tokenizer) -> ParseResult:
 
 
 def _resolve(
-    sub_ids: list[int],
-    rel_ids: list[int],
-    obj_ids: list[int],
+    segments: list[list[int]],
     cat: Catalog,
     tok: Tokenizer,
     block_start: int,
     diags: list[Diagnostic],
 ) -> Triplet | None:
+    tables = (cat.entity_ids, cat.relation_ids)
     resolved: list[int] = []
-    for token_ids, table, kind in (
-        (sub_ids, cat.entity_ids, "entity"),
-        (rel_ids, cat.relation_ids, "relation"),
-        (obj_ids, cat.entity_ids, "entity"),
-    ):
+    for token_ids, (_, cls) in zip(segments, GRAMMAR.values()):
+        kind = ("entity", "relation")[cls]
         try:
             name = tok.decode(token_ids)
         except (ValueError, UnicodeDecodeError):
@@ -235,11 +222,11 @@ def _resolve(
                 Diagnostic("unknown_name", block_start, f"{kind} tokens do not decode")
             )
             return None
-        ident = table.get(name)
+        ident = tables[cls].get(name)
         if ident is None:
             diags.append(
                 Diagnostic("unknown_name", block_start, f"{kind} {name!r} not in catalog")
             )
             return None
         resolved.append(ident)
-    return Triplet(resolved[0], resolved[1], resolved[2])
+    return Triplet(*resolved)

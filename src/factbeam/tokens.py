@@ -16,6 +16,13 @@ EOS = 4
 
 NUM_SPECIAL = 5
 
+# The block grammar  <sub> name <rel> name <obj> name <et>, one block per
+# triplet, the blocks closed by <eos>. Each name opener maps to the marker
+# that closes its name and the catalog class the name is read from
+# (0 = entity, 1 = relation). The openers are in the order of a Triplet's
+# fields; the closer of one name opens the next, and <et> closes the block.
+GRAMMAR = {SUB: (REL, 0), REL: (OBJ, 1), OBJ: (ET, 0)}
+
 SPECIAL_NAMES = {SUB: "<sub>", REL: "<rel>", OBJ: "<obj>", ET: "<et>", EOS: "<eos>"}
 
 

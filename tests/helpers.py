@@ -21,7 +21,6 @@ from factbeam import (
     Hypothesis,
     MentionedTriplet,
     NoCompleteHypothesis,
-    Phase,
     RelationScore,
     ScoreReport,
     Triplet,
@@ -243,17 +242,17 @@ def _ref_extend(h: Hypothesis, token: int, lp: float, tries) -> Hypothesis:
     tokens = h.tokens + (token,)
     log_prob = h.log_prob + lp
     if token == SUB:
-        return Hypothesis(tokens, log_prob, Phase.SUBJECT, entity_trie.ROOT, h.n_triplets)
+        return Hypothesis(tokens, log_prob, SUB, entity_trie.ROOT, h.n_triplets)
     if token == REL:
-        return Hypothesis(tokens, log_prob, Phase.RELATION, relation_trie.ROOT, h.n_triplets)
+        return Hypothesis(tokens, log_prob, REL, relation_trie.ROOT, h.n_triplets)
     if token == OBJ:
-        return Hypothesis(tokens, log_prob, Phase.OBJECT, entity_trie.ROOT, h.n_triplets)
+        return Hypothesis(tokens, log_prob, OBJ, entity_trie.ROOT, h.n_triplets)
     if token == ET:
-        return Hypothesis(tokens, log_prob, Phase.BOUNDARY, None, h.n_triplets + 1)
+        return Hypothesis(tokens, log_prob, ET, None, h.n_triplets + 1)
     if token == EOS:
-        return Hypothesis(tokens, log_prob, Phase.BOUNDARY, None, h.n_triplets, finished=True)
-    trie = relation_trie if h.phase is Phase.RELATION else entity_trie
-    return Hypothesis(tokens, log_prob, h.phase, trie.child(h.cursor, token), h.n_triplets)
+        return Hypothesis(tokens, log_prob, EOS, None, h.n_triplets)
+    trie = relation_trie if h.marker == REL else entity_trie
+    return Hypothesis(tokens, log_prob, h.marker, trie.child(h.cursor, token), h.n_triplets)
 
 
 def ref_beam_search(text: str, scorer, tries, cfg: DecodeConfig) -> list[Hypothesis]:
@@ -278,8 +277,8 @@ def ref_beam_search(text: str, scorer, tries, cfg: DecodeConfig) -> list[Hypothe
                 pool.append(_ref_extend(h, t, float(log_probs[t]), tries))
         pool.sort(key=sort_key)
         kept = pool[:k]
-        finished = [h for h in kept if h.finished]
-        live = [h for h in kept if not h.finished]
+        finished = [h for h in kept if h.marker == EOS]
+        live = [h for h in kept if h.marker != EOS]
     if not finished:
         best = min(live, key=sort_key) if live else None
         raise NoCompleteHypothesis(f"no sequence finished within max_len={cfg.max_len}", best)

@@ -9,12 +9,11 @@ from factbeam import (
     build_catalog,
     build_trie,
     load_trie,
-    restrict_relations,
     save_trie,
 )
 from factbeam.tokens import ByteTokenizer
 
-from helpers import oracle_allowed_next, rand_catalog, rand_names, ref_build_trie
+from helpers import oracle_allowed_next, rand_names, ref_build_trie
 
 TOK = ByteTokenizer()
 
@@ -229,64 +228,3 @@ def test_membership_matches_hash_set():
             found = False
         assert found == (probe in member)
 
-
-# --- restrict_relations --------------------------------------------------------
-
-
-def _cat_with_relations(n: int):
-    return build_catalog(["e"], [f"rel {i}" for i in range(n)])
-
-
-def test_restrict_keeps_top_n_by_count():
-    cat = _cat_with_relations(3)
-    restricted, mapping = restrict_relations(cat, {0: 5, 1: 5, 2: 1}, 2)
-    assert restricted.relation_names == ("rel 0", "rel 1")  # tie -> smaller id
-    assert mapping == {0: 0, 1: 1}
-
-
-def test_restrict_identity_when_top_n_covers_all():
-    cat = _cat_with_relations(4)
-    restricted, mapping = restrict_relations(cat, {i: i for i in range(4)}, 4)
-    assert restricted is cat
-    assert mapping == {i: i for i in range(4)}
-    restricted, mapping = restrict_relations(cat, {}, 10)
-    assert restricted is cat
-
-
-def test_restrict_redensifies_in_original_order():
-    cat = _cat_with_relations(5)
-    counts = {0: 1, 1: 9, 2: 0, 3: 7, 4: 8}
-    restricted, mapping = restrict_relations(cat, counts, 3)
-    # top three by count: 1, 4, 3; kept in original id order
-    assert restricted.relation_names == ("rel 1", "rel 3", "rel 4")
-    assert mapping == {1: 0, 3: 1, 4: 2}
-    assert restricted.entity_names == cat.entity_names
-
-
-def test_restrict_missing_counts_default_to_zero():
-    cat = _cat_with_relations(3)
-    restricted, mapping = restrict_relations(cat, {2: 4}, 1)
-    assert restricted.relation_names == ("rel 2",)
-
-
-def test_restrict_rejects_nonpositive_top_n():
-    with pytest.raises(ValueError):
-        restrict_relations(_cat_with_relations(2), {}, 0)
-
-
-def test_restrict_random_consistency():
-    rng = random.Random(41)
-    for _ in range(20):
-        cat = rand_catalog(rng, 5, 12)
-        counts = {i: rng.randint(0, 50) for i in range(cat.num_relations)}
-        top_n = rng.randint(1, cat.num_relations)
-        restricted, mapping = restrict_relations(cat, counts, top_n)
-        assert restricted.num_relations == min(top_n, cat.num_relations)
-        # every kept relation's count is >= every dropped relation's (tie by id)
-        kept = set(mapping)
-        dropped = set(range(cat.num_relations)) - kept
-        for k in kept:
-            for d in dropped:
-                assert (-counts[k], k) < (-counts[d], d)
-        for old, new in mapping.items():
-            assert restricted.relation_name(new) == cat.relation_name(old)

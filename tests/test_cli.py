@@ -614,6 +614,46 @@ def test_failed_run_keeps_previous_outputs(tmp_path, catalog_files, capsys):
     )
 
 
+def test_decode_failing_document_keeps_previous_output(tmp_path, catalog_files, capsys):
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    oracle = docs_file(tmp_path, "oracle.jsonl", GOLD_RECORDS[:1])
+    out = tmp_path / "pred.jsonl"
+    out.write_bytes(b'{"previous": "predictions"}\n')
+    rc, _ = run_decode(tmp_path, catalog_files, gold, ["--scorer", f"oracle:{oracle}"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "factbeam: error: oracle file has no record for document 'd2'" in err
+    assert out.read_bytes() == b'{"previous": "predictions"}\n'
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_attribute_bad_spans_value(tmp_path, catalog_files, capsys):
+    ent, rel = catalog_files
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    mentions = docs_file(tmp_path, "mentions.jsonl", [{"id": "d1", "spans": None}])
+    out = tmp_path / "attr.json"
+    rc = main(
+        ["attribute", "--gold", gold, "--pred", gold, "--entities", ent, "--relations", rel,
+         "--mentions", mentions, "--out", str(out)]
+    )
+    assert_clean_failure(
+        rc, capsys, out, f'{mentions}:1: "spans" must be a list of [start, end] pairs'
+    )
+
+
+def test_evaluate_counts_duplicate_relation(tmp_path, catalog_files, capsys):
+    ent, rel = catalog_files
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    counts = tmp_path / "counts.tsv"
+    counts.write_text("capital of\t3\ncapital of\t5\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    rc = main(
+        ["evaluate", "--gold", gold, "--pred", gold, "--entities", ent, "--relations", rel,
+         "--counts", str(counts), "--out", str(out)]
+    )
+    assert_clean_failure(rc, capsys, out, f"{counts}:2: duplicate relation 'capital of'")
+
+
 def test_two_outputs_one_path_refused(tmp_path, catalog_files, capsys):
     ent, rel = catalog_files
     gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)

@@ -11,7 +11,6 @@ from factbeam import (
     InvalidSequence,
     NoCompleteHypothesis,
     OracleScorer,
-    Phase,
     RandomScorer,
     TableScorer,
     Triplet,
@@ -68,13 +67,13 @@ def test_fresh_boundary_without_empty_set():
 
 def test_boundary_after_triplet_offers_both():
     cfg = DecodeConfig(beam_size=1, allow_empty_set=False)
-    h = Hypothesis(tokens=(SUB,), phase=Phase.BOUNDARY, n_triplets=1)
+    h = Hypothesis(tokens=(SUB,), marker=ET, n_triplets=1)
     assert allowed_tokens(h, TRIES, cfg) == [SUB, EOS]
 
 
 def test_max_triplets_blocks_new_block():
     cfg = DecodeConfig(beam_size=1, max_triplets=1)
-    h = Hypothesis(tokens=(SUB,), phase=Phase.BOUNDARY, n_triplets=1)
+    h = Hypothesis(tokens=(SUB,), marker=ET, n_triplets=1)
     assert allowed_tokens(h, TRIES, cfg) == [EOS]
 
 
@@ -88,31 +87,31 @@ def test_empty_catalog_boundary_offers_only_eos():
 def test_subject_terminal_offers_continuation_and_closer():
     # cursor at "Rome" in trie over {"Rome", "Romeo"}
     node = TRIES[0].walk(TOK.encode("Rome"))
-    h = Hypothesis(tokens=(SUB, *TOK.encode("Rome")), phase=Phase.SUBJECT, cursor=node)
+    h = Hypothesis(tokens=(SUB, *TOK.encode("Rome")), marker=SUB, cursor=node)
     assert allowed_tokens(h, TRIES, DecodeConfig(beam_size=1)) == [REL, TOK.encode("o")[0]]
 
 
 def test_object_leaf_offers_only_closer():
     node = TRIES[0].walk(TOK.encode("Romeo"))
-    h = Hypothesis(tokens=(), phase=Phase.OBJECT, cursor=node)
+    h = Hypothesis(tokens=(), marker=OBJ, cursor=node)
     assert allowed_tokens(h, TRIES, DecodeConfig(beam_size=1)) == [ET]
 
 
 def test_relation_terminal_offers_obj():
     node = TRIES[1].walk(TOK.encode("born in"))
-    h = Hypothesis(tokens=(), phase=Phase.RELATION, cursor=node)
+    h = Hypothesis(tokens=(), marker=REL, cursor=node)
     assert allowed_tokens(h, TRIES, DecodeConfig(beam_size=1)) == [OBJ]
 
 
 def test_mid_name_offers_trie_continuations_only():
     node = TRIES[0].walk(TOK.encode("Ro"))
-    h = Hypothesis(tokens=(), phase=Phase.SUBJECT, cursor=node)
+    h = Hypothesis(tokens=(), marker=SUB, cursor=node)
     assert allowed_tokens(h, TRIES, DecodeConfig(beam_size=1)) == [TOK.encode("m")[0]]
 
 
 def test_finished_hypothesis_cannot_extend():
     with pytest.raises(ValueError):
-        allowed_tokens(Hypothesis(finished=True), TRIES, DecodeConfig(beam_size=1))
+        allowed_tokens(Hypothesis(marker=EOS), TRIES, DecodeConfig(beam_size=1))
 
 
 def test_allowed_never_empty_for_live_fuzz():
@@ -136,6 +135,27 @@ def _extend_public(h, t, tries):
     from factbeam.decoder import _extend
 
     return _extend(h, t, 0.0, tries)
+
+
+def test_every_linearization_walks_the_decoder_grammar():
+    rng = random.Random(37)
+    cfg = DecodeConfig(beam_size=1)
+    for _ in range(200):
+        cat = rand_catalog(rng, 8, 4, 1, 5)
+        tries = make_tries(cat)
+        items = [
+            Triplet(rng.randrange(cat.num_entities), rng.randrange(cat.num_relations),
+                    rng.randrange(cat.num_entities))
+            for _ in range(rng.randint(0, 4))
+        ]
+        seq = linearize(items, cat, TOK)
+        h = Hypothesis()
+        for t in seq:
+            assert t in allowed_tokens(h, tries, cfg), (seq, h)
+            h = _extend_public(h, t, tries)
+        assert h.finished and h.n_triplets == len(items)
+        parsed = parse(seq, cat, TOK)
+        assert parsed.ok and parsed.triplets == frozenset(items)
 
 
 # --- decode ---------------------------------------------------------------------
@@ -313,6 +333,68 @@ def test_length_alpha_changes_ranking():
     norm = beam_search("", UniformScorer(V), tries, DecodeConfig(beam_size=3, max_len=30, max_triplets=1, length_alpha=1.0))
     assert raw[0].tokens == (EOS,)
     assert all(h.score(1.0) == pytest.approx(raw[0].score(1.0)) for h in norm)
+
+
+# --- the surface the traced benchmark run decodes through ---------------------
+
+
+class _NarrowTrie:
+    """Only the trie members the benchmark's traced run forwards."""
+
+    def __init__(self, trie):
+        self.ROOT = trie.ROOT
+        self._len = trie.__len__
+        self.children_of = trie.children_of
+        self.child = trie.child
+        self.terminal_id = trie.terminal_id
+
+    def __len__(self):
+        return self._len()
+
+
+class _NarrowScorer:
+    """Only the scorer members the benchmark's traced run forwards."""
+
+    def __init__(self, scorer):
+        self.vocab_size = scorer.vocab_size
+        self.next_log_probs = scorer.next_log_probs
+
+
+def _decode_or_partial(scorer, cat, tries, cfg):
+    try:
+        return decode("ctx", scorer, cat, tries, cfg, TOK)
+    except NoCompleteHypothesis as exc:
+        return exc.best_partial
+
+
+def test_decode_through_the_traced_run_surface_equals_plain_decode():
+    import factbeam.decoder
+
+    # the traced run replaces these module attributes by name
+    assert callable(factbeam.decoder.allowed_tokens)
+    assert callable(factbeam.decoder.parse)
+    rng = random.Random(89)
+    for case in range(60):
+        cat = rand_catalog(rng, 6, 3, 1, 4)
+        tries = make_tries(cat)
+        if case % 3 == 0:
+            scorer = RandomScorer(rng.randrange(1 << 30), V)
+        elif case % 3 == 1:
+            target = linearize(order_triplets(rand_triplet_set(rng, cat, 2)), cat, TOK)
+            scorer = OracleScorer(target, vocab_size=V)
+        else:
+            corpus = [
+                TOK.encode("ctx") + linearize(order_triplets(rand_triplet_set(rng, cat, 2)), cat, TOK)
+                for _ in range(4)
+            ]
+            scorer = train_ngram(corpus, n=3, tokenizer=TOK)
+        cfg = DecodeConfig(
+            beam_size=rng.randint(1, 8), max_len=rng.choice((8, 40)),
+            length_alpha=rng.choice((0.0, 1.0)), max_triplets=rng.choice((None, 2)),
+        )
+        plain = _decode_or_partial(scorer, cat, tries, cfg)
+        narrow_tries = (_NarrowTrie(tries[0]), _NarrowTrie(tries[1]))
+        assert _decode_or_partial(_NarrowScorer(scorer), cat, narrow_tries, cfg) == plain, case
 
 
 # --- array step against the object-based reference --------------------------

@@ -132,6 +132,13 @@ def test_counts_bad_values(tmp_path, cat, content):
         read_counts(path, cat)
 
 
+def test_counts_duplicate_relation_refused(tmp_path, cat):
+    path = tmp_path / "counts.tsv"
+    path.write_text("capital of\t3\ncapital of\t5\n", encoding="utf-8")
+    with pytest.raises(CatalogError, match=f"{path}:2: duplicate relation 'capital of'"):
+        read_counts(path, cat)
+
+
 # --- triplet JSON ------------------------------------------------------------------
 
 
@@ -226,6 +233,14 @@ def test_read_mentions(tmp_path):
     path = tmp_path / "mentions.jsonl"
     write_jsonl(path, [{"id": "d1", "spans": [[0, 3], [7, 12]]}, {"id": "d2", "spans": []}])
     assert read_mentions(path) == {"d1": [(0, 3), (7, 12)], "d2": []}
+
+
+@pytest.mark.parametrize("spans", [None, 5, "ab", {"s": [0, 3]}])
+def test_read_mentions_bad_spans_value(tmp_path, spans):
+    path = tmp_path / "mentions.jsonl"
+    write_jsonl(path, [{"id": "d1", "spans": spans}])
+    with pytest.raises(ValueError, match=r':1: "spans" must be a list of \[start, end\] pairs'):
+        read_mentions(path)
 
 
 def test_read_jsonl_skips_blank_lines(tmp_path):
