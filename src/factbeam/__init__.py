@@ -43,7 +43,6 @@ from .decoder import (
     allowed_tokens,
     beam_search,
     decode,
-    score_batch,
 )
 from .fileio import (
     Document,
@@ -111,7 +110,7 @@ __all__ = [
     "linearize", "order_triplets", "parse",
     # decoder
     "Scorer", "Hypothesis", "DecodeConfig", "InvalidScores", "InvalidSequence",
-    "NoCompleteHypothesis", "allowed_tokens", "beam_search", "decode", "score_batch",
+    "NoCompleteHypothesis", "allowed_tokens", "beam_search", "decode",
     # scorers
     "UniformScorer", "OracleScorer", "TableScorer", "RandomScorer", "NGramScorer",
     "train_ngram",

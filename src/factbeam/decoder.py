@@ -5,6 +5,10 @@ special tokens (<sub> name <rel> name <obj> name <et> ... <eos>) and
 prefix-trie membership for every name segment. Any hypothesis the beam
 carries is therefore a prefix of some valid linearization, and every
 finished sequence parses with zero diagnostics.
+
+The model is any `Scorer`: one method, `next_log_probs(context,
+prefixes)`, which each beam step calls once with the prefixes of all its
+live hypotheses.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -21,23 +25,19 @@ from .linearize import Triplet, parse
 from .tokens import EOS, ET, GRAMMAR, NUM_SPECIAL, SUB, ByteTokenizer, Tokenizer
 
 
-@runtime_checkable
 class Scorer(Protocol):
-    """Next-token distribution contract.
+    """Next-token distribution contract: one call scores a whole beam step.
 
-    Implementations must be deterministic for fixed (context, prefix)
-    and return a full-vocabulary log-prob vector whose exponentials sum
-    to 1 within 1e-6.
-
-    A scorer may also offer `next_log_probs_batch(context, prefixes)`,
-    returning a (len(prefixes), vocab_size) array whose row i is
-    bit-identical to `next_log_probs(context, prefixes[i])`; the beam
-    then makes one call per step (see `score_batch`).
+    `next_log_probs(context, prefixes)` returns a (len(prefixes),
+    vocab_size) array whose row i is the log-prob vector after
+    `prefixes[i]`; its exponentials sum to 1 within 1e-6. A row depends
+    only on (context, that prefix), so it is bit-identical whichever
+    prefixes it is asked with, and identical calls give identical rows.
     """
 
     vocab_size: int
 
-    def next_log_probs(self, context: str, prefix: Sequence[int]) -> np.ndarray: ...
+    def next_log_probs(self, context: str, prefixes: Sequence[Sequence[int]]) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -135,29 +135,6 @@ def _extend(
     return Hypothesis(tokens, log_prob, token, None, h.n_triplets + (token == ET))
 
 
-def score_batch(scorer: Scorer, context: str, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-    """The scorer's log-prob rows for `prefixes`, shape (len(prefixes), V).
-
-    One `next_log_probs_batch` call when the scorer has that method, one
-    `next_log_probs` call per prefix otherwise. Raises InvalidScores when
-    the rows do not have that shape.
-    """
-    expected = (len(prefixes), scorer.vocab_size)
-    batch = getattr(scorer, "next_log_probs_batch", None)
-    if batch is not None:
-        rows = np.asarray(batch(context, prefixes))
-    elif not prefixes:
-        rows = np.empty(expected)
-    else:
-        try:
-            rows = np.stack([scorer.next_log_probs(context, p) for p in prefixes])
-        except ValueError as exc:
-            raise InvalidScores(f"scorer rows differ in shape: {exc}") from None
-    if rows.shape != expected:
-        raise InvalidScores(f"scorer returned shape {rows.shape}, expected {expected}")
-    return rows
-
-
 def _top_k(keys: np.ndarray, k: int, tokens_of: Callable[[int], tuple[int, ...]]) -> list[int]:
     """Indices of the k entries ranked first by (-key, tokens_of(index))."""
     n = len(keys)
@@ -188,14 +165,14 @@ def beam_search(
     dropped, never renormalized, so ranking reflects the scorer's own
     probabilities restricted to valid sequences.
 
-    Each step is array code. The live hypotheses' rows come from one
-    `score_batch` call; the candidates' scores form one float64 array
-    after the finished hypotheses' scores, and `np.partition` finds the
-    k-th highest. Every candidate above it survives; token sequences are
-    compared only among the candidates whose score equals it, and only
-    survivors become Hypothesis objects. Raises InvalidScores when the
-    scorer's rows have the wrong shape or a score at an allowed token is
-    NaN (-inf is legal).
+    Each step is array code. One `scorer.next_log_probs` call gives the
+    rows of every live hypothesis that can still extend; the candidates'
+    scores form one float64 array after the finished hypotheses' scores,
+    and `np.partition` finds the k-th highest. Every candidate above it
+    survives; token sequences are compared only among the candidates
+    whose score equals it, and only survivors become Hypothesis objects.
+    Raises InvalidScores when the scorer's rows have the wrong shape or
+    a score at an allowed token is NaN (-inf is legal).
 
     Raises NoCompleteHypothesis if nothing finishes; the exception
     carries the best partial hypothesis for debugging.
@@ -223,7 +200,10 @@ def beam_search(
         token = np.fromiter(itertools.chain.from_iterable(allowed), np.intp, sum(sizes))
         lps = np.empty(0)
         if parents:
-            rows = score_batch(scorer, text, [h.tokens for h in parents])
+            rows = np.asarray(scorer.next_log_probs(text, [h.tokens for h in parents]))
+            expected = (len(parents), scorer.vocab_size)
+            if rows.shape != expected:
+                raise InvalidScores(f"scorer returned shape {rows.shape}, expected {expected}")
             lps = rows[parent, token].astype(np.float64, copy=False)
         scores = np.fromiter((h.log_prob for h in parents), np.float64, len(parents))[parent] + lps
         nan = np.flatnonzero(np.isnan(scores))

@@ -40,6 +40,15 @@ class Document:
         return frozenset(mt.triplet for mt in self.triplets)
 
 
+def _utf8(raw: bytes, path: str | Path, lineno: int) -> str:
+    """Line `lineno` of `path`, decoded; files are read as bytes so that a
+    bad byte is reported with its line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}:{lineno}: invalid UTF-8") from None
+
+
 # --- catalog TSV: id<TAB>name[<TAB>external_id] ---------------------------
 
 
@@ -50,9 +59,9 @@ def read_catalog_rows(path: str | Path) -> tuple[list[str], list[str | None] | N
     ids or None if no row carried one).
     """
     rows: dict[int, tuple[str, str | None]] = {}
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = _utf8(raw, path, lineno).rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
@@ -101,9 +110,9 @@ def read_counts(path: str | Path, cat: Catalog) -> dict[int, int]:
     """
     out: dict[int, int] = {}
     seen: set[str] = set()
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = _utf8(raw, path, lineno).rstrip("\n")
             if not line:
                 continue
             name, _, raw = line.partition("\t")
@@ -274,9 +283,9 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], object] | None = None) 
     with the record's file:line.
     """
     out: list = []
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = _utf8(raw, path, lineno).strip()
             if not line:
                 continue
             try:

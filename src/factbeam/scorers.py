@@ -1,12 +1,12 @@
 """Reference scorers: deterministic next-token distributions for testing decoders.
 
-Every scorer satisfies the same contract: ``next_log_probs(context, prefix)``
-returns a vocabulary-sized vector of log-probabilities that exponentiates
-and sums to 1, and identical inputs always produce bitwise-identical
-output. `NGramScorer` also answers many prefixes in one
-``next_log_probs_batch`` call. None of these aim at extraction quality;
-they exist so the constrained decoder can be exercised without a neural
-model.
+Every scorer satisfies the same contract (`decoder.Scorer`):
+``next_log_probs(context, prefixes)`` returns one row per prefix, each a
+vocabulary-sized vector of log-probabilities that exponentiates and sums
+to 1. A row depends only on the context and its own prefix, and identical
+inputs always produce bitwise-identical output. None of these aim at
+extraction quality; they exist so the constrained decoder can be
+exercised without a neural model.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ class UniformScorer:
             raise ValueError("vocab_size must be >= 1")
         self.vocab_size = vocab_size
         self._table = np.full(vocab_size, -math.log(vocab_size))
-        self._table.flags.writeable = False
 
-    def next_log_probs(self, context: str, prefix: Sequence[int]) -> np.ndarray:
-        return self._table
+    def next_log_probs(self, context: str, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        return np.broadcast_to(self._table, (len(prefixes), self.vocab_size))
 
 
 class OracleScorer:
@@ -60,17 +59,17 @@ class OracleScorer:
         self.target = tuple(target)
         self.mass = mass
         self.vocab_size = vocab_size
-        self._uniform = np.full(vocab_size, -math.log(vocab_size))
-        self._uniform.flags.writeable = False
+        self._uniform = -math.log(vocab_size)
         self._on = math.log(mass)
         self._off = math.log((1.0 - mass) / (vocab_size - 1))
 
-    def next_log_probs(self, context: str, prefix: Sequence[int]) -> np.ndarray:
-        n = len(prefix)
-        if n >= len(self.target) or tuple(prefix) != self.target[:n]:
-            return self._uniform
-        out = np.full(self.vocab_size, self._off)
-        out[self.target[n]] = self._on
+    def next_log_probs(self, context: str, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        out = np.full((len(prefixes), self.vocab_size), self._uniform)
+        for i, prefix in enumerate(prefixes):
+            n = len(prefix)
+            if n < len(self.target) and tuple(prefix) == self.target[:n]:
+                out[i] = self._off
+                out[i, self.target[n]] = self._on
         return out
 
 
@@ -86,7 +85,6 @@ class TableScorer:
     def __init__(self, tables: Mapping[tuple[int, ...], np.ndarray], vocab_size: int) -> None:
         self.vocab_size = vocab_size
         self._uniform = np.full(vocab_size, -math.log(vocab_size))
-        self._uniform.flags.writeable = False
         frozen: dict[tuple[int, ...], np.ndarray] = {}
         for key, table in tables.items():
             arr = np.asarray(table, dtype=float)
@@ -95,13 +93,14 @@ class TableScorer:
             total = float(np.exp(arr).sum())
             if abs(total - 1.0) > 1e-6:
                 raise ValueError(f"table for {key} sums to {total}, not 1")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            frozen[tuple(key)] = arr
+            frozen[tuple(key)] = arr.copy()
         self._tables = frozen
 
-    def next_log_probs(self, context: str, prefix: Sequence[int]) -> np.ndarray:
-        return self._tables.get(tuple(prefix), self._uniform)
+    def next_log_probs(self, context: str, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        out = np.empty((len(prefixes), self.vocab_size))
+        for i, prefix in enumerate(prefixes):
+            out[i] = self._tables.get(tuple(prefix), self._uniform)
+        return out
 
 
 class RandomScorer:
@@ -117,18 +116,24 @@ class RandomScorer:
     def __init__(self, seed: int, vocab_size: int) -> None:
         if vocab_size < 1:
             raise ValueError("vocab_size must be >= 1")
+        if not -(1 << 63) <= seed < 1 << 63:
+            raise ValueError(f"seed {seed} does not fit in a signed 64-bit integer")
         self.seed = seed
         self.vocab_size = vocab_size
 
-    def next_log_probs(self, context: str, prefix: Sequence[int]) -> np.ndarray:
-        h = hashlib.blake2b(digest_size=16)
-        h.update(self.seed.to_bytes(8, "little", signed=True))
-        h.update(context.encode("utf-8"))
-        h.update(b"\x00")
-        h.update(np.asarray(prefix, dtype=np.int64).tobytes())
-        rng = np.random.default_rng(int.from_bytes(h.digest(), "little"))
-        weights = rng.exponential(1.0, self.vocab_size)
-        return np.log(weights / weights.sum())
+    def next_log_probs(self, context: str, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        base = hashlib.blake2b(digest_size=16)
+        base.update(self.seed.to_bytes(8, "little", signed=True))
+        base.update(context.encode("utf-8"))
+        base.update(b"\x00")
+        out = np.empty((len(prefixes), self.vocab_size))
+        for i, prefix in enumerate(prefixes):
+            h = base.copy()
+            h.update(np.asarray(prefix, dtype=np.int64).tobytes())
+            rng = np.random.default_rng(int.from_bytes(h.digest(), "little"))
+            weights = rng.exponential(1.0, self.vocab_size)
+            out[i] = np.log(weights / weights.sum())
+        return out
 
 
 class NGramScorer:
@@ -211,13 +216,7 @@ class NGramScorer:
         totals = np.add.reduceat(count, row_first).tolist() + [0]
         self._log_total = np.array([math.log(t + V) for t in totals])
 
-    def next_log_probs(self, context: str, prefix: Sequence[int]) -> np.ndarray:
-        return self.next_log_probs_batch(context, [prefix])[0]
-
-    def next_log_probs_batch(
-        self, context: str, prefixes: Sequence[Sequence[int]]
-    ) -> np.ndarray:
-        """One row per prefix, each bit-identical to a single-prefix call."""
+    def next_log_probs(self, context: str, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
         V, W, h = self.vocab_size, self.vocab_size + 1, self.n - 1
         ctx = None  # the context's last h tokens, encoded once if some prefix is shorter than h
         unseen = len(self._log_total) - 1

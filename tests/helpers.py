@@ -170,7 +170,7 @@ def ref_build_trie(names_with_ids: Sequence[tuple[int, str]], tok: Tokenizer) ->
 
 
 class CachingScorer:
-    """Memoizes another scorer's tables per (context, prefix).
+    """Memoizes another scorer's rows per (context, prefix).
 
     Lets the enumeration oracle and the beam share one set of
     distributions without recomputing; determinism is preserved.
@@ -179,19 +179,22 @@ class CachingScorer:
     def __init__(self, inner) -> None:
         self.inner = inner
         self.vocab_size = inner.vocab_size
-        self._cache: dict[tuple[str, tuple[int, ...]], object] = {}
+        self._cache: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
 
-    def next_log_probs(self, context: str, prefix: Sequence[int]):
+    def row(self, context: str, prefix: Sequence[int]) -> np.ndarray:
         key = (context, tuple(prefix))
-        table = self._cache.get(key)
-        if table is None:
-            table = self._cache[key] = self.inner.next_log_probs(context, prefix)
-        return table
+        row = self._cache.get(key)
+        if row is None:
+            row = self._cache[key] = self.inner.next_log_probs(context, [prefix])[0]
+        return row
+
+    def next_log_probs(self, context: str, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        return np.array([self.row(context, p) for p in prefixes]).reshape(-1, self.vocab_size)
 
     def score_sequence(self, context: str, seq: Sequence[int]) -> float:
         total = 0.0
         for i, t in enumerate(seq):
-            total += float(self.next_log_probs(context, seq[:i])[t])
+            total += float(self.row(context, seq[:i])[t])
         return total
 
 
@@ -272,7 +275,7 @@ def ref_beam_search(text: str, scorer, tries, cfg: DecodeConfig) -> list[Hypothe
             allowed = allowed_tokens(h, tries, cfg)
             if not allowed:
                 continue
-            log_probs = scorer.next_log_probs(text, h.tokens)
+            log_probs = scorer.next_log_probs(text, [h.tokens])[0]
             for t in sorted(allowed):
                 pool.append(_ref_extend(h, t, float(log_probs[t]), tries))
         pool.sort(key=sort_key)
@@ -307,12 +310,15 @@ class RefNGram:
                     self.counts[hist][t] += 1
                     self.totals[hist] = self.totals.get(hist, 0) + 1
 
-    def next_log_probs(self, context: str, prefix: Sequence[int]) -> np.ndarray:
-        full = self.tok.encode(context) + list(prefix)
-        m = min(self.n - 1, len(full))
-        hist = tuple(full[len(full) - m :])
-        counts = self.counts.get(hist, np.zeros(self.vocab_size, dtype=np.int64))
-        return np.log(counts + 1.0) - math.log(self.totals.get(hist, 0) + self.vocab_size)
+    def next_log_probs(self, context: str, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        out = np.empty((len(prefixes), self.vocab_size))
+        for i, prefix in enumerate(prefixes):
+            full = self.tok.encode(context) + list(prefix)
+            m = min(self.n - 1, len(full))
+            hist = tuple(full[len(full) - m :])
+            counts = self.counts.get(hist, np.zeros(self.vocab_size, dtype=np.int64))
+            out[i] = np.log(counts + 1.0) - math.log(self.totals.get(hist, 0) + self.vocab_size)
+        return out
 
 
 # --- metric oracles (exact rational arithmetic) ------------------------------

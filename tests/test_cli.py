@@ -235,6 +235,38 @@ def test_decode_non_finite_length_alpha(tmp_path, catalog_files, capsys, alpha):
     assert_clean_failure(rc, capsys, out, "length_alpha must be finite and >= 0")
 
 
+def test_decode_random_seed_outside_int64(tmp_path, catalog_files, capsys):
+    docs = docs_file(tmp_path, "docs.jsonl", GOLD_RECORDS)
+    seed = str(1 << 70)
+    rc, out = run_decode(tmp_path, catalog_files, docs, ["--scorer", "random", "--seed", seed])
+    assert_clean_failure(rc, capsys, out, f"seed {seed} does not fit in a signed 64-bit integer")
+
+
+@pytest.mark.parametrize("kind", ["documents", "entities", "counts"])
+def test_invalid_utf8_reported_with_file_and_line(tmp_path, catalog_files, capsys, kind):
+    ent, rel = catalog_files
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    bad = tmp_path / f"bad_{kind}"
+    first = {
+        "documents": b'{"id": "d0", "input": "x"}\n',
+        "entities": b"0\tParis\n",
+        "counts": b"crosses\t4\n",
+    }[kind]
+    bad.write_bytes(first + b"1\tR\xffme\n")
+    if kind == "documents":
+        rc, out = run_decode(tmp_path, catalog_files, str(bad), ["--scorer", "uniform"])
+    elif kind == "entities":
+        out = tmp_path / "tries"
+        rc = main(["build-trie", "--entities", str(bad), "--relations", rel, "--out-dir", str(out)])
+    else:
+        out = tmp_path / "report.json"
+        rc = main(
+            ["evaluate", "--gold", gold, "--pred", gold, "--entities", ent, "--relations", rel,
+             "--counts", str(bad), "--out", str(out)]
+        )
+    assert_clean_failure(rc, capsys, out, f"{bad}:2: invalid UTF-8")
+
+
 # --- evaluate ---------------------------------------------------------------------
 
 

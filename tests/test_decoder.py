@@ -23,7 +23,6 @@ from factbeam import (
     linearize,
     order_triplets,
     parse,
-    score_batch,
     train_ngram,
 )
 from factbeam.tokens import EOS, ET, OBJ, REL, SUB, ByteTokenizer
@@ -353,11 +352,18 @@ class _NarrowTrie:
 
 
 class _NarrowScorer:
-    """Only the scorer members the benchmark's traced run forwards."""
+    """Only the scorer members the benchmark's traced run forwards. It
+    records the prefixes of every call, sorted."""
 
     def __init__(self, scorer):
         self.vocab_size = scorer.vocab_size
-        self.next_log_probs = scorer.next_log_probs
+        self.calls = []
+
+        def next_log_probs(context, prefixes):
+            self.calls.append(sorted(map(tuple, prefixes)))
+            return scorer.next_log_probs(context, prefixes)
+
+        self.next_log_probs = next_log_probs
 
 
 def _decode_or_partial(scorer, cat, tries, cfg):
@@ -394,7 +400,16 @@ def test_decode_through_the_traced_run_surface_equals_plain_decode():
         )
         plain = _decode_or_partial(scorer, cat, tries, cfg)
         narrow_tries = (_NarrowTrie(tries[0]), _NarrowTrie(tries[1]))
-        assert _decode_or_partial(_NarrowScorer(scorer), cat, narrow_tries, cfg) == plain, case
+        narrow = _NarrowScorer(scorer)
+        assert _decode_or_partial(narrow, cat, narrow_tries, cfg) == plain, case
+        # one call per step with live rows, carrying every live prefix: the
+        # reference beam asks for the same prefixes one at a time
+        one_by_one = _NarrowScorer(scorer)
+        _search(ref_beam_search, "ctx", one_by_one, tries, cfg)
+        by_step = {}
+        for (prefix,) in one_by_one.calls:
+            by_step.setdefault(len(prefix), []).append(prefix)
+        assert narrow.calls == [sorted(by_step[n]) for n in range(len(by_step))], case
 
 
 # --- array step against the object-based reference --------------------------
@@ -469,8 +484,8 @@ class _NaNScorer:
         self.row = np.full(V, -math.log(V))
         self.row[token] = np.nan
 
-    def next_log_probs(self, context, prefix):
-        return self.row
+    def next_log_probs(self, context, prefixes):
+        return np.broadcast_to(self.row, (len(prefixes), V))
 
 
 def test_nan_score_at_allowed_token_raises():
@@ -484,28 +499,21 @@ def test_nan_score_at_allowed_token_raises():
 class _ShapeScorer:
     vocab_size = V
 
-    def __init__(self, shape, batch):
+    def __init__(self, shape, extra_row):
         self.shape = shape
-        if batch:
-            self.next_log_probs_batch = lambda context, prefixes: np.zeros((len(prefixes), *shape))
+        self.extra_row = extra_row
 
-    def next_log_probs(self, context, prefix):
-        return np.zeros(self.shape)
+    def next_log_probs(self, context, prefixes):
+        return np.zeros((len(prefixes) + self.extra_row, *self.shape))
 
 
-@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("extra_row", [False, True])
 @pytest.mark.parametrize("shape", [(V - 1,), (V + 1,), ()])
-def test_wrong_score_shape_raises(shape, batch):
+def test_wrong_score_shape_raises(shape, extra_row):
     with pytest.raises(InvalidScores, match="shape"):
-        beam_search("", _ShapeScorer(shape, batch), TRIES, DecodeConfig(beam_size=2, max_len=8))
+        beam_search("", _ShapeScorer(shape, extra_row), TRIES, DecodeConfig(beam_size=2, max_len=8))
 
 
-def test_ragged_score_rows_raise():
-    class Ragged:
-        vocab_size = V
-
-        def next_log_probs(self, context, prefix):
-            return np.zeros(V + len(prefix))
-
-    with pytest.raises(InvalidScores, match="differ in shape"):
-        score_batch(Ragged(), "", [(), (SUB,)])
+def test_wrong_row_count_raises():
+    with pytest.raises(InvalidScores, match=rf"shape \(2, {V}\), expected \(1, {V}\)"):
+        beam_search("", _ShapeScorer((V,), True), TRIES, DecodeConfig(beam_size=2, max_len=8))
