@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .attribution import (
     MatchEdge,
-    Matching,
     MissingSpans,
     edge_weight,
     match,
@@ -119,7 +118,7 @@ __all__ = [
     "per_relation_scores", "score_report", "bucket_relations", "bucketed_f1",
     "bootstrap_ci", "f1_score",
     # attribution
-    "MatchEdge", "Matching", "MissingSpans", "edge_weight", "match",
+    "MatchEdge", "MissingSpans", "edge_weight", "match",
     "nel_rc_errors", "ner_error", "recall_error",
     # fileio
     "Document", "TrieFormatError", "load_catalog", "load_trie",

@@ -34,11 +34,6 @@ class MatchEdge:
     weight: int
 
 
-@dataclass(frozen=True)
-class Matching:
-    edges: tuple[MatchEdge, ...]  # exactly one edge per gold triplet
-
-
 def edge_weight(gold: Triplet, pred: Triplet) -> int:
     """Similarity weight 1..6; smaller is closer.
 
@@ -59,37 +54,28 @@ def edge_weight(gold: Triplet, pred: Triplet) -> int:
     return 4 if sub_eq or obj_eq else 6
 
 
-def _id_triple(t: Triplet) -> tuple[int, int, int]:
-    return (t.subject, t.relation, t.object)
-
-
-def match(gold: frozenset[Triplet], pred: frozenset[Triplet]) -> Matching:
+def match(gold: frozenset[Triplet], pred: frozenset[Triplet]) -> tuple[MatchEdge, ...]:
     """Greedy minimum-weight pairing of every gold triplet.
 
-    All gold-pred edges are sorted by (weight, gold ids, pred ids) and
-    taken greedily, using each prediction at most once. Gold triplets
-    left over pair with an absent prediction at weight 6. Edges in the
-    result are ordered by gold id triple.
+    All gold-pred edges are sorted by (weight, gold, pred), with
+    triplets in their own (subject, relation, object) order, and taken
+    greedily, using each prediction at most once. Gold triplets left
+    over pair with an absent prediction at weight 6. Returns one edge
+    per gold triplet, in gold order.
     """
+    golds, preds = sorted(gold), sorted(pred)
+    # Index order is Triplet order and set members are distinct, so
+    # sorting (weight, i, j) is sorting (weight, gold, pred).
     edges = sorted(
-        (
-            (edge_weight(g, p), _id_triple(g), _id_triple(p), g, p)
-            for g in gold
-            for p in pred
-        ),
-        key=lambda e: e[:3],
+        (edge_weight(g, p), i, j) for i, g in enumerate(golds) for j, p in enumerate(preds)
     )
-    chosen: dict[Triplet, MatchEdge] = {}
-    used_preds: set[Triplet] = set()
-    for weight, _, _, g, p in edges:
-        if g in chosen or p in used_preds:
-            continue
-        chosen[g] = MatchEdge(g, p, weight)
-        used_preds.add(p)
-    for g in gold:
-        if g not in chosen:
-            chosen[g] = MatchEdge(g, None, 6)
-    return Matching(tuple(chosen[g] for g in sorted(gold, key=_id_triple)))
+    chosen: list[MatchEdge | None] = [None] * len(golds)
+    used = [False] * len(preds)
+    for weight, i, j in edges:
+        if chosen[i] is None and not used[j]:
+            chosen[i] = MatchEdge(golds[i], preds[j], weight)
+            used[j] = True
+    return tuple(e or MatchEdge(g, None, 6) for e, g in zip(chosen, golds))
 
 
 def nel_rc_errors(pairs: Iterable[EvalPair]) -> tuple[float, float]:
@@ -100,12 +86,10 @@ def nel_rc_errors(pairs: Iterable[EvalPair]) -> tuple[float, float]:
     """
     nel = rc = total = 0
     for pair in pairs:
-        for edge in match(pair.gold, pair.predicted).edges:
+        for edge in match(pair.gold, pair.predicted):
             total += 1
-            if edge.weight in NEL_WEIGHTS:
-                nel += 1
-            if edge.weight in RC_WEIGHTS:
-                rc += 1
+            nel += edge.weight in NEL_WEIGHTS
+            rc += edge.weight in RC_WEIGHTS
     if total == 0:
         return 0.0, 0.0
     return nel / total, rc / total

@@ -206,7 +206,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
                 # decoded sets are order-free; emit in id order for stable files
                 "triplets": [
                     triplet_to_json(MentionedTriplet(t), cat)
-                    for t in sorted(ts, key=lambda t: (t.subject, t.relation, t.object))
+                    for t in sorted(ts)
                 ],
             }
             for rank, (ts, lp) in enumerate(ranked, 1)

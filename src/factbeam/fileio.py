@@ -150,7 +150,7 @@ def _span(raw, doc_id: str) -> tuple[int, int] | None:
         raise ValueError(message)
     try:
         return int(raw[0]), int(raw[1])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(message) from None
 
 

@@ -31,9 +31,6 @@ class Triplet:
     object: int
 
 
-TripletSet = frozenset  # alias: a TripletSet is a frozenset[Triplet]
-
-
 @dataclass(frozen=True)
 class MentionedTriplet:
     """A triplet plus optional character spans of its entity mentions.
@@ -73,17 +70,8 @@ class ParseResult:
 
 def _span_sort_key(item: Triplet | MentionedTriplet):
     mt = _as_mentioned(item)
-    sub_span, obj_span = mt.subject_span, mt.object_span
-    t = mt.triplet
-    return (
-        0 if sub_span is not None else 1,
-        sub_span[0] if sub_span is not None else 0,
-        0 if obj_span is not None else 1,
-        obj_span[0] if obj_span is not None else 0,
-        t.subject,
-        t.relation,
-        t.object,
-    )
+    sub, obj = mt.subject_span, mt.object_span
+    return (sub is None, sub[0] if sub else 0, obj is None, obj[0] if obj else 0, mt.triplet)
 
 
 def order_triplets(

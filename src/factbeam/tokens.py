@@ -23,8 +23,6 @@ NUM_SPECIAL = 5
 # fields; the closer of one name opens the next, and <et> closes the block.
 GRAMMAR = {SUB: (REL, 0), REL: (OBJ, 1), OBJ: (ET, 0)}
 
-SPECIAL_NAMES = {SUB: "<sub>", REL: "<rel>", OBJ: "<obj>", ET: "<et>", EOS: "<eos>"}
-
 
 @runtime_checkable
 class Tokenizer(Protocol):

@@ -478,6 +478,26 @@ def ref_bootstrap_ci(
     return float(np.quantile(values, lo)), float(np.quantile(values, hi))
 
 
+# --- mention-order reference -------------------------------------------------
+
+
+def ref_span_sort_key(item: Triplet | MentionedTriplet) -> tuple[int, ...]:
+    """`order_triplets`' key spelled out field by field: spanned subjects
+    first by start, then object span presence and start, then ids."""
+    mt = item if isinstance(item, MentionedTriplet) else MentionedTriplet(item)
+    sub_span, obj_span = mt.subject_span, mt.object_span
+    t = mt.triplet
+    return (
+        0 if sub_span is not None else 1,
+        sub_span[0] if sub_span is not None else 0,
+        0 if obj_span is not None else 1,
+        obj_span[0] if obj_span is not None else 0,
+        t.subject,
+        t.relation,
+        t.object,
+    )
+
+
 # --- attribution oracles ------------------------------------------------------
 
 # independent weight table keyed by (subject equal, object equal, relation equal)

@@ -294,7 +294,7 @@ def test_criterion_6_attribution_oracles():
             Triplet(rng.randrange(4), rng.randrange(3), rng.randrange(4))
             for _ in range(rng.randint(3, 6))
         )
-        mine = {e.gold: (e.pred, e.weight) for e in match(gold, pred).edges}
+        mine = {e.gold: (e.pred, e.weight) for e in match(gold, pred)}
         if mine != oracle_match(gold, pred):
             match_failures += 1
     nel, rc = nel_rc_errors(weights_one_to_six_pairs())

@@ -69,24 +69,24 @@ def test_entity_comparison_is_positional():
 def test_perfect_match_all_weight_one():
     gold = frozenset({T(0, 0, 1), T(1, 1, 2)})
     m = match(gold, gold)
-    assert len(m.edges) == 2
-    assert all(e.weight == 1 and e.pred == e.gold for e in m.edges)
+    assert len(m) == 2
+    assert all(e.weight == 1 and e.pred == e.gold for e in m)
 
 
 def test_no_predictions_gives_absent_weight_six():
     m = match(frozenset({T(0, 0, 1)}), frozenset())
-    assert len(m.edges) == 1
-    assert m.edges[0].pred is None
-    assert m.edges[0].weight == 6
+    assert len(m) == 1
+    assert m[0].pred is None
+    assert m[0].weight == 6
 
 
 def test_each_prediction_used_at_most_once():
     gold = frozenset({T(0, 0, 1), T(2, 0, 1)})
     pred = frozenset({T(0, 0, 1)})
     m = match(gold, pred)
-    used = [e.pred for e in m.edges if e.pred is not None]
+    used = [e.pred for e in m if e.pred is not None]
     assert len(used) == len(set(used)) == 1
-    weights = sorted(e.weight for e in m.edges)
+    weights = sorted(e.weight for e in m)
     assert weights == [1, 6]  # second gold has no prediction left
 
 
@@ -96,7 +96,7 @@ def test_greedy_prefers_lower_weight_globally():
     gold1, gold2 = T(0, 0, 1), T(0, 0, 2)
     pred = frozenset({T(0, 0, 2)})
     m = match(frozenset({gold1, gold2}), pred)
-    by_gold = {e.gold: e for e in m.edges}
+    by_gold = {e.gold: e for e in m}
     assert by_gold[gold2].weight == 1 and by_gold[gold2].pred == gold2
     assert by_gold[gold1].weight == 6 and by_gold[gold1].pred is None
 
@@ -111,7 +111,7 @@ def test_match_against_independent_matcher_random():
         pred = frozenset(
             T(rng.randrange(4), rng.randrange(3), rng.randrange(4)) for _ in range(n_p)
         )
-        mine = {e.gold: (e.pred, e.weight) for e in match(gold, pred).edges}
+        mine = {e.gold: (e.pred, e.weight) for e in match(gold, pred)}
         assert mine == oracle_match(gold, pred)
 
 
@@ -126,10 +126,8 @@ def test_match_covers_every_gold_exactly_once():
             T(rng.randrange(3), rng.randrange(2), rng.randrange(3))
             for _ in range(rng.randint(0, 5))
         )
-        m = match(gold, pred)
-        assert sorted((e.gold for e in m.edges), key=lambda t: (t.subject, t.relation, t.object)) == sorted(
-            gold, key=lambda t: (t.subject, t.relation, t.object)
-        )
+        # one edge per gold triplet, in gold order
+        assert [e.gold for e in match(gold, pred)] == sorted(gold)
 
 
 # --- nel / rc errors -------------------------------------------------------------
@@ -137,7 +135,7 @@ def test_match_covers_every_gold_exactly_once():
 
 def test_weights_fixture_is_diagonal():
     pairs = weights_one_to_six_pairs()
-    weights = sorted(e.weight for e in match(pairs[0].gold, pairs[0].predicted).edges)
+    weights = sorted(e.weight for e in match(pairs[0].gold, pairs[0].predicted))
     assert weights == [1, 2, 3, 4, 5, 6]
 
 
@@ -193,14 +191,14 @@ def test_adding_exact_prediction_fixes_that_gold():
             T(rng.randrange(4), rng.randrange(3), rng.randrange(4))
             for _ in range(rng.randint(0, 5))
         )
-        unmatched = [e.gold for e in match(gold, pred).edges if e.weight > 1]
+        unmatched = [e.gold for e in match(gold, pred) if e.weight > 1]
         if not unmatched:
             continue
         checked += 1
         target = unmatched[0]
         before = recall_error([pair(pred, gold)])
         after_match = match(gold, pred | {target})
-        by_gold = {e.gold: e for e in after_match.edges}
+        by_gold = {e.gold: e for e in after_match}
         assert by_gold[target].weight == 1
         after = recall_error([pair(pred | {target}, gold)])
         assert after == pytest.approx(before - 1 / len(gold))
@@ -213,7 +211,7 @@ def test_recall_error_is_share_of_inexact_matches_random():
     for _ in range(1000):
         cat = rand_catalog(rng, 4, 3)
         pairs = rand_eval_pairs(rng, cat, rng.randint(0, 5))
-        weights = [e.weight for p in pairs for e in match(p.gold, p.predicted).edges]
+        weights = [e.weight for p in pairs for e in match(p.gold, p.predicted)]
         expected = sum(w > 1 for w in weights) / len(weights) if weights else 0.0
         assert recall_error(pairs) == expected
 

@@ -673,6 +673,35 @@ def test_attribute_bad_spans_value(tmp_path, catalog_files, capsys):
     )
 
 
+def test_attribute_overflowing_span(tmp_path, catalog_files, capsys):
+    ent, rel = catalog_files
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    mentions = tmp_path / "mentions.jsonl"
+    mentions.write_text('{"id": "d1", "spans": [[0, Infinity]]}\n', encoding="utf-8")
+    out = tmp_path / "attr.json"
+    rc = main(
+        ["attribute", "--gold", gold, "--pred", gold, "--entities", ent, "--relations", rel,
+         "--mentions", str(mentions), "--out", str(out)]
+    )
+    assert_clean_failure(rc, capsys, out, f"{mentions}:1: doc 'd1': span must be a [start, end] pair")
+
+
+def test_evaluate_overflowing_span(tmp_path, catalog_files, capsys):
+    ent, rel = catalog_files
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(
+        '{"id": "d1", "input": "x", "triplets": '
+        '[{"sub": "Tiber", "rel": "crosses", "obj": "Rome", "sub_span": [1e999, 5]}]}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "report.json"
+    rc = main(
+        ["evaluate", "--gold", str(gold), "--pred", str(gold), "--entities", ent,
+         "--relations", rel, "--out", str(out)]
+    )
+    assert_clean_failure(rc, capsys, out, f"{gold}:1: doc 'd1': span must be a [start, end] pair")
+
+
 def test_evaluate_counts_duplicate_relation(tmp_path, catalog_files, capsys):
     ent, rel = catalog_files
     gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)

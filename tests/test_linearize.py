@@ -13,7 +13,7 @@ from factbeam import (
 )
 from factbeam.tokens import EOS, ET, OBJ, REL, SUB, ByteTokenizer
 
-from helpers import mentioned, rand_catalog, rand_triplet_set
+from helpers import mentioned, rand_catalog, rand_triplet_set, ref_span_sort_key
 
 TOK = ByteTokenizer()
 CAT = build_catalog(["Paris", "Rome", "France"], ["capital of", "born in"])
@@ -81,6 +81,30 @@ def test_spanless_sort_after_spanned_by_id_triple():
     bare_hi = mentioned(1, 0, 0)
     bare_lo = mentioned(0, 1, 2)
     assert order_triplets([bare_hi, spanned, bare_lo]) == [spanned, bare_lo, bare_hi]
+
+
+def test_order_matches_explicit_key_random():
+    rng = random.Random(11)
+
+    def span():
+        # few starts, so spans tie on start often
+        if rng.random() < 0.3:
+            return None
+        start = rng.randrange(4)
+        return (start, start + rng.randint(1, 3))
+
+    for _ in range(300):
+        items = []
+        for _ in range(rng.randint(0, 8)):
+            t = Triplet(rng.randrange(3), rng.randrange(2), rng.randrange(3))
+            kind = rng.randrange(3)
+            if kind == 0:
+                items.append(t)
+            elif kind == 1:
+                items.append(MentionedTriplet(t))
+            else:
+                items.append(MentionedTriplet(t, span(), span()))
+        assert order_triplets(items) == sorted(items, key=ref_span_sort_key)
 
 
 def test_sort_is_idempotent():
