@@ -48,7 +48,6 @@ from .fileio import (
     TrieFormatError,
     load_catalog,
     load_trie,
-    read_catalog_rows,
     read_counts,
     read_documents,
     read_jsonl,
@@ -122,7 +121,7 @@ __all__ = [
     "nel_rc_errors", "ner_error", "recall_error",
     # fileio
     "Document", "TrieFormatError", "load_catalog", "load_trie",
-    "read_catalog_rows", "read_counts", "read_documents", "read_jsonl",
+    "read_counts", "read_documents", "read_jsonl",
     "read_mentions", "read_prediction_sets", "save_trie", "sha256_file",
     "triplet_from_json", "triplet_to_json", "write_catalog_rows",
     "write_counts", "write_json", "write_jsonl",

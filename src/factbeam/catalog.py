@@ -12,8 +12,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -44,23 +43,15 @@ class InvalidPrefix(CatalogError):
 class Catalog:
     """Immutable registry of entity and relation names with dense ids.
 
-    Ids are 0..N-1 in each class, assigned in ingest order. External
-    identifiers (e.g. KB item ids) are carried as opaque metadata and
-    play no role in lookups.
+    Ids are 0..N-1 in each class. The name -> id maps are the inverse of
+    the name tuples; build_catalog and load_catalog fill both in the
+    pass that checks the names.
     """
 
     entity_names: tuple[str, ...]
     relation_names: tuple[str, ...]
-    entity_external_ids: tuple[str | None, ...] | None = None
-    relation_external_ids: tuple[str | None, ...] | None = None
-
-    @cached_property
-    def entity_ids(self) -> Mapping[str, int]:
-        return {name: i for i, name in enumerate(self.entity_names)}
-
-    @cached_property
-    def relation_ids(self) -> Mapping[str, int]:
-        return {name: i for i, name in enumerate(self.relation_names)}
+    entity_ids: Mapping[str, int] = field(repr=False, compare=False)
+    relation_ids: Mapping[str, int] = field(repr=False, compare=False)
 
     @property
     def num_entities(self) -> int:
@@ -81,42 +72,28 @@ class Catalog:
         return self.relation_names[relation_id]
 
 
-def _validated(names: Iterable[str], kind: str) -> tuple[str, ...]:
-    seen: set[str] = set()
-    out: list[str] = []
-    for name in names:
-        if not name.strip():
-            raise EmptyName(f"blank {kind} name at position {len(out)}")
-        if name in seen:
-            raise DuplicateName(name, kind)
-        seen.add(name)
-        out.append(name)
-    return tuple(out)
+def add_name(ids: dict[str, int], name: str, kind: str, ident: int) -> None:
+    """Enter name under ident in a class's name -> id map, refusing a
+    blank name (EmptyName) and a repeated one (DuplicateName)."""
+    if not name.strip():
+        raise EmptyName(f"blank {kind} name at position {ident}")
+    if name in ids:
+        raise DuplicateName(name, kind)
+    ids[name] = ident
 
 
-def build_catalog(
-    entity_names: Iterable[str],
-    relation_names: Iterable[str],
-    entity_external_ids: Sequence[str | None] | None = None,
-    relation_external_ids: Sequence[str | None] | None = None,
-) -> Catalog:
+def build_catalog(entity_names: Iterable[str], relation_names: Iterable[str]) -> Catalog:
     """Assemble a Catalog, assigning dense ids in input order.
 
     Raises EmptyName for blank entries and DuplicateName for repeats
     within a class.
     """
-    entities = _validated(entity_names, "entity")
-    relations = _validated(relation_names, "relation")
-    if entity_external_ids is not None and len(entity_external_ids) != len(entities):
-        raise CatalogError("entity external id column length mismatch")
-    if relation_external_ids is not None and len(relation_external_ids) != len(relations):
-        raise CatalogError("relation external id column length mismatch")
-    return Catalog(
-        entities,
-        relations,
-        tuple(entity_external_ids) if entity_external_ids is not None else None,
-        tuple(relation_external_ids) if relation_external_ids is not None else None,
-    )
+    entity_ids: dict[str, int] = {}
+    relation_ids: dict[str, int] = {}
+    for ids, names, kind in ((entity_ids, entity_names, "entity"), (relation_ids, relation_names, "relation")):
+        for i, name in enumerate(names):
+            add_name(ids, name, kind, i)
+    return Catalog(tuple(entity_ids), tuple(relation_ids), entity_ids, relation_ids)
 
 
 class TokenTrie:

@@ -17,9 +17,11 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from . import __version__
 from .attribution import ner_error, nel_rc_errors, recall_error
-from .catalog import Catalog, CatalogError, TokenTrie, build_catalog, build_trie, names_digest
+from .catalog import Catalog, CatalogError, TokenTrie, add_name, build_trie, names_digest
 from .decoder import DecodeConfig, NoCompleteHypothesis, Scorer, decode
 from .fileio import (
     Document,
@@ -241,6 +243,10 @@ def _load_catalog_trie(path: Path, kind: str, names: Sequence[str]) -> TokenTrie
         raise ValueError(f"{path}: trie holds {len(trie)} names, the {kind} catalog {len(names)}")
     if trie.names_sha256 != names_digest(enumerate(names)):
         raise ValueError(f"{path}: trie was built from other {kind} names than the catalog's")
+    # the digest covers the names, not the arrays
+    top = int(np.max(trie.tokens, initial=-1))
+    if top >= ByteTokenizer.vocab_size:
+        raise ValueError(f"{path}: edge token {top} outside the tokenizer's {ByteTokenizer.vocab_size} ids")
     return trie
 
 
@@ -353,16 +359,20 @@ def _implicit_catalog(gold_path: str, pred_path: str) -> Catalog:
     Attribution compares triplets by identity only, so any consistent
     name -> id assignment works when no catalog files are given.
     """
-    entities: dict[str, None] = {}
-    relations: dict[str, None] = {}
+    ids: dict[str, dict[str, int]] = {"entity": {}, "relation": {}}
+
+    def collect(record: dict) -> None:
+        for triplets in triplet_lists(record):
+            for obj in triplets:
+                for key, kind in (("sub", "entity"), ("obj", "entity"), ("rel", "relation")):
+                    name = str(obj.get(key))
+                    if name not in ids[kind]:
+                        add_name(ids[kind], name, kind, len(ids[kind]))
+
     for path in (gold_path, pred_path):
-        for lists in read_jsonl(path, triplet_lists):
-            for triplets in lists:
-                for obj in triplets:
-                    entities.setdefault(str(obj.get("sub")), None)
-                    entities.setdefault(str(obj.get("obj")), None)
-                    relations.setdefault(str(obj.get("rel")), None)
-    return build_catalog(list(entities), list(relations))
+        read_jsonl(path, collect)
+    entity_ids, relation_ids = ids["entity"], ids["relation"]
+    return Catalog(tuple(entity_ids), tuple(relation_ids), entity_ids, relation_ids)
 
 
 def cmd_attribute(args: argparse.Namespace) -> int:

@@ -17,8 +17,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .catalog import Catalog, CatalogError, TokenTrie, build_catalog
+from .catalog import Catalog, CatalogError, TokenTrie, add_name
 from .linearize import MentionedTriplet, Triplet
+from .tokens import NUM_SPECIAL
 
 log = logging.getLogger("factbeam")
 
@@ -40,62 +41,78 @@ class Document:
         return frozenset(mt.triplet for mt in self.triplets)
 
 
-def _utf8(raw: bytes, path: str | Path, lineno: int) -> str:
-    """Line `lineno` of `path`, decoded; files are read as bytes so that a
-    bad byte is reported with its line."""
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise ValueError(f"{path}:{lineno}: invalid UTF-8") from None
+def _read_lines(path: str | Path, parse_line: Callable[[str], str | None]) -> None:
+    """Run parse_line on each line of the UTF-8 text file at path, its
+    newline kept (each format has its own blank-line rule).
 
-
-# --- catalog TSV: id<TAB>name[<TAB>external_id] ---------------------------
-
-
-def read_catalog_rows(path: str | Path) -> tuple[list[str], list[str | None] | None]:
-    """Read one catalog class file; rows may be in any id order.
-
-    Ids must be exactly 0..N-1. Returns (names ordered by id, external
-    ids or None if no row carried one).
+    The one place an input line gets its location: a ValueError that
+    parse_line raises, or a line that is not UTF-8, is raised again (its
+    class kept) with "<path>:<line>: " before its message, and a message
+    parse_line returns is logged as a warning with the same prefix. The
+    file is read as bytes so that a bad byte is reported with its line.
     """
-    rows: dict[int, tuple[str, str | None]] = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = _utf8(raw, path, lineno).rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (2, 3):
-                raise CatalogError(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
             try:
-                ident = int(parts[0])
-            except ValueError:
-                raise CatalogError(f"{path}:{lineno}: non-integer id {parts[0]!r}") from None
-            if ident in rows:
-                raise CatalogError(f"{path}:{lineno}: duplicate id {ident}")
-            rows[ident] = (parts[1], parts[2] if len(parts) == 3 else None)
-    if sorted(rows) != list(range(len(rows))):
-        raise CatalogError(f"{path}: ids are not dense 0..{len(rows) - 1}")
-    names = [rows[i][0] for i in range(len(rows))]
-    externals = [rows[i][1] for i in range(len(rows))]
-    return names, externals if any(e is not None for e in externals) else None
+                warning = parse_line(raw.decode("utf-8"))
+            except ValueError as exc:
+                if isinstance(exc, UnicodeDecodeError):
+                    exc = ValueError("invalid UTF-8")
+                exc.args = (f"{path}:{lineno}: {exc}",)
+                raise exc from None
+            if warning is not None:
+                log.warning("%s:%d: %s", path, lineno, warning)
 
 
-def write_catalog_rows(
-    path: str | Path, names: Sequence[str], external_ids: Sequence[str | None] | None = None
-) -> None:
+# --- catalog TSV: id<TAB>name[<TAB>ignored] ---------------------------------
+
+
+def _read_catalog_file(path: str | Path, kind: str) -> tuple[tuple[str, ...], dict[str, int]]:
+    """Read one catalog class file, rows in any id order, ids exactly
+    0..N-1. Returns the names ordered by id and the name -> id map."""
+    ids: dict[str, int] = {}
+    names: dict[int, str] = {}
+
+    def row(line: str) -> None:
+        line = line.rstrip("\n")
+        if not line:
+            return
+        parts = line.split("\t")
+        if len(parts) not in (2, 3):
+            raise CatalogError("expected 2 or 3 tab-separated fields")
+        try:
+            ident = int(parts[0])
+        except ValueError:
+            raise CatalogError(f"non-integer id {parts[0]!r}") from None
+        if ident in names:
+            raise CatalogError(f"duplicate id {ident}")
+        name = parts[1]
+        if "\r" in name:  # a CRLF file would otherwise end every name in "\r"
+            raise CatalogError(f"name {name!r} contains a carriage return")
+        add_name(ids, name, kind, ident)
+        names[ident] = name
+
+    _read_lines(path, row)
+    try:  # ids are distinct, so 0..N-1 all present means dense
+        return tuple(names[i] for i in range(len(names))), ids
+    except KeyError:
+        raise CatalogError(f"{path}: ids are not dense 0..{len(names) - 1}") from None
+
+
+def write_catalog_rows(path: str | Path, names: Sequence[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for i, name in enumerate(names):
             if "\t" in name or "\n" in name:
                 raise CatalogError(f"name {name!r} contains a tab or newline")
-            ext = external_ids[i] if external_ids is not None else None
-            fh.write(f"{i}\t{name}\t{ext}\n" if ext is not None else f"{i}\t{name}\n")
+            if "\r" in name:
+                raise CatalogError(f"name {name!r} contains a carriage return")
+            fh.write(f"{i}\t{name}\n")
 
 
 def load_catalog(entity_file: str | Path, relation_file: str | Path) -> Catalog:
-    entity_names, entity_ext = read_catalog_rows(entity_file)
-    relation_names, relation_ext = read_catalog_rows(relation_file)
-    return build_catalog(entity_names, relation_names, entity_ext, relation_ext)
+    entity_names, entity_ids = _read_catalog_file(entity_file, "entity")
+    relation_names, relation_ids = _read_catalog_file(relation_file, "relation")
+    return Catalog(entity_names, relation_names, entity_ids, relation_ids)
 
 
 # --- occurrence counts TSV: relation_name<TAB>count ------------------------
@@ -110,26 +127,28 @@ def read_counts(path: str | Path, cat: Catalog) -> dict[int, int]:
     """
     out: dict[int, int] = {}
     seen: set[str] = set()
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = _utf8(raw, path, lineno).rstrip("\n")
-            if not line:
-                continue
-            name, _, raw = line.partition("\t")
-            if name in seen:
-                raise CatalogError(f"{path}:{lineno}: duplicate relation {name!r}")
-            seen.add(name)
-            try:
-                count = int(raw)
-            except ValueError:
-                raise CatalogError(f"{path}:{lineno}: non-integer count {raw!r}") from None
-            if count < 0:
-                raise CatalogError(f"{path}:{lineno}: negative count")
-            rel = cat.relation_ids.get(name)
-            if rel is None:
-                log.warning("%s:%d: relation %r not in catalog, skipped", path, lineno, name)
-                continue
-            out[rel] = count
+
+    def row(line: str) -> str | None:
+        line = line.rstrip("\n")
+        if not line:
+            return None
+        name, _, raw = line.partition("\t")
+        if name in seen:
+            raise CatalogError(f"duplicate relation {name!r}")
+        seen.add(name)
+        try:
+            count = int(raw)
+        except ValueError:
+            raise CatalogError(f"non-integer count {raw!r}") from None
+        if count < 0:
+            raise CatalogError("negative count")
+        rel = cat.relation_ids.get(name)
+        if rel is None:
+            return f"relation {name!r} not in catalog, skipped"
+        out[rel] = count
+        return None
+
+    _read_lines(path, row)
     return out
 
 
@@ -283,25 +302,22 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], object] | None = None) 
     with the record's file:line.
     """
     out: list = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = _utf8(raw, path, lineno).strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            except RecursionError:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: nested too deeply") from None
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}:{lineno}: expected a JSON object")
-            if parse is not None:
-                try:
-                    record = parse(record)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-            out.append(record)
+
+    def record(line: str) -> None:
+        line = line.strip()
+        if not line:
+            return
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ValueError("invalid JSON: nested too deeply") from None
+        if not isinstance(obj, dict):
+            raise ValueError("expected a JSON object")
+        out.append(obj if parse is None else parse(obj))
+
+    _read_lines(path, record)
     return out
 
 
@@ -374,6 +390,8 @@ def _check_trie_arrays(path, offsets, tokens, terminal) -> None:
     has_edges = np.flatnonzero(np.diff(offsets))
     if np.any(offsets[has_edges] < has_edges):
         raise TrieFormatError(f"{path}: a child id below its parent's")
+    if np.any(tokens < NUM_SPECIAL):  # names never tokenize to marker ids
+        raise TrieFormatError(f"{path}: edge token {tokens.min()} below the first content id {NUM_SPECIAL}")
     node_start = np.zeros(n_edges, dtype=bool)
     node_start[offsets[:-1][offsets[:-1] < n_edges]] = True
     if np.any((np.diff(tokens) <= 0) & ~node_start[1:]):

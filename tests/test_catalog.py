@@ -66,12 +66,6 @@ def test_unknown_id_lookup_raises():
         cat.relation_name(-1)
 
 
-def test_external_ids_carried():
-    cat = build_catalog(["a", "b"], ["r"], ["Q1", None], ["P5"])
-    assert cat.entity_external_ids == ("Q1", None)
-    assert cat.relation_external_ids == ("P5",)
-
-
 # --- build_trie / walk ------------------------------------------------------
 
 

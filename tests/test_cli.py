@@ -1,7 +1,11 @@
+import copy
 import json
+import random
 import shutil
 import subprocess
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from factbeam import (
@@ -15,6 +19,7 @@ from factbeam import (
     load_trie,
     names_digest,
     read_jsonl,
+    save_trie,
     sha256_file,
     write_catalog_rows,
     write_jsonl,
@@ -192,6 +197,21 @@ def test_decode_tries_name_count_differs(tmp_path, catalog_files, capsys):
     assert_clean_failure(
         rc, capsys, out, f"{tries / 'entity.trie'}: trie holds 2 names, the entity catalog 3"
     )
+
+
+@pytest.mark.parametrize("token", [261, 10**6])
+def test_decode_tries_token_outside_vocabulary(tmp_path, catalog_files, capsys, token):
+    ent, rel = catalog_files
+    tries = tmp_path / "tries"
+    assert main(["build-trie", "--entities", ent, "--relations", rel, "--out-dir", str(tries)]) == 0
+    path = tries / "entity.trie"
+    trie = load_trie(path)
+    tokens = np.array(trie.tokens)
+    tokens[-1] = token  # the last edge is its node's only one, so the order check passes
+    save_trie(TokenTrie(trie.offsets, tokens, trie.terminal, trie.names_sha256), path)
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    rc, out = run_decode(tmp_path, catalog_files, gold, ["--tries", str(tries), "--scorer", "uniform"])
+    assert_clean_failure(rc, capsys, out, f"{path}: edge token {token} outside the tokenizer's 261 ids")
 
 
 def test_decode_non_object_line(tmp_path, catalog_files, capsys):
@@ -594,6 +614,43 @@ def test_attribute_without_catalog_bad_triplets(tmp_path, capsys, triplets):
     assert_clean_failure(rc, capsys, out, f"{pred}:1: {BAD_TRIPLETS}")
 
 
+def test_attribute_without_catalog_blank_name(tmp_path, capsys):
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    pred = docs_file(
+        tmp_path, "pred.jsonl",
+        [{"id": "d1", "triplets": []}, {"id": "d2", "triplets": [{"sub": " ", "rel": "crosses", "obj": "Rome"}]}],
+    )
+    out = tmp_path / "attr.json"
+    rc = main(["attribute", "--gold", gold, "--pred", pred, "--out", str(out)])
+    # the gold file named Tiber, Rome and Paris first
+    assert_clean_failure(rc, capsys, out, f"{pred}:2: blank entity name at position 3")
+
+
+@pytest.mark.parametrize("subcommand", ["build-trie", "decode", "evaluate", "attribute"])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0\tParis\n1\tRome\n2\tParis\n", ":3: duplicate entity name: 'Paris'"),
+        ("0\tParis\n\n1\t  \n", ":3: blank entity name at position 1"),
+    ],
+)
+def test_catalog_name_errors_located(tmp_path, capsys, subcommand, rows, message):
+    ent = tmp_path / "entities.tsv"
+    ent.write_text(rows, encoding="utf-8")
+    rel = tmp_path / "relations.tsv"
+    write_catalog_rows(rel, RELATIONS)
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    out = tmp_path / "out"
+    rest = {
+        "build-trie": ["--out-dir", str(out)],
+        "decode": ["--input", gold, "--scorer", "uniform", "--out", str(out)],
+        "evaluate": ["--gold", gold, "--pred", gold, "--out", str(out)],
+        "attribute": ["--gold", gold, "--pred", gold, "--out", str(out)],
+    }[subcommand]
+    rc = main([subcommand, "--entities", str(ent), "--relations", str(rel)] + rest)
+    assert_clean_failure(rc, capsys, out, f"{ent}{message}")
+
+
 def test_bucket_table_requires_counts(tmp_path, catalog_files, capsys):
     ent, rel = catalog_files
     gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
@@ -749,3 +806,110 @@ def test_console_script_version():
     proc = subprocess.run(["factbeam", "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "factbeam" in proc.stdout
+
+
+# --- mutated inputs -------------------------------------------------------------------
+
+SWAP_VALUES = [None, True, 0, -1, 2**70, 1.5, float("nan"), float("inf"), "", "Rome", [], {}, [1, 2], {"sub": 1}]
+TSV_FIELDS = ["", " ", "x", "-1", "1.5", "99999999999999999999", "0", "Rome"]
+INT32_VALUES = [-(2**31), -3, -1, 0, 4, 5, 261, 10**6, 2**31 - 1]
+
+
+def _swapped(value, rng):
+    """value with one value inside it replaced by one of another type."""
+    if isinstance(value, (dict, list)) and value and rng.random() < 0.7:
+        key = rng.choice(list(value)) if isinstance(value, dict) else rng.randrange(len(value))
+        value[key] = _swapped(value[key], rng)
+        return value
+    return copy.deepcopy(rng.choice([v for v in SWAP_VALUES if type(v) is not type(value)]))
+
+
+def _type_swap(data: bytes, kind: str, rng) -> bytes:
+    if kind == "trie":  # overwrite one int32 of the arrays after the 48-byte header
+        at = 48 + 4 * rng.randrange((len(data) - 48) // 4)
+        return data[:at] + rng.choice(INT32_VALUES).to_bytes(4, "little", signed=True) + data[at + 4 :]
+    lines = data.decode("utf-8").split("\n")
+    i = rng.randrange(len(lines) - 1)
+    if kind == "tsv":
+        fields = lines[i].split("\t")
+        fields[rng.randrange(len(fields))] = rng.choice(TSV_FIELDS)
+        lines[i] = "\t".join(fields)
+    else:
+        lines[i] = json.dumps(_swapped(json.loads(lines[i]), rng))
+    return "\n".join(lines).encode("utf-8")
+
+
+def _deep_nest(data: bytes, rng) -> bytes:
+    """One value of a record nested 50 deep (parses) or 100,000 deep (does not)."""
+    lines = data.decode("utf-8").split("\n")
+    i = rng.randrange(len(lines) - 1)
+    record = json.loads(lines[i])
+    key = rng.choice(list(record))
+    depth = rng.choice([50, 100_000])
+    lines[i] = json.dumps({**record, key: "@"}).replace('"@"', "[" * depth + "]" * depth)
+    return "\n".join(lines).encode("utf-8")
+
+
+def _mutated(data: bytes, kind: str, rng) -> bytes:
+    how = rng.choice(["truncate", "flip", "utf8", "swap"] + (["nest"] if kind == "jsonl" else []))
+    if how == "truncate":
+        return data[: rng.randrange(len(data))]
+    if how == "flip":
+        out = bytearray(data)
+        for _ in range(rng.randint(1, 3)):
+            out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
+        return bytes(out)
+    if how == "utf8":
+        at = rng.randrange(len(data) + 1)
+        return data[:at] + rng.choice([b"\xff", b"\xc3", b"\xed\xa0\x80"]) + data[at:]
+    if how == "swap":
+        return _type_swap(data, kind, rng)
+    return _deep_nest(data, rng)
+
+
+def test_cli_survives_mutated_inputs(tmp_path, capsys):
+    """Every subcommand on randomly damaged inputs: exit 0 or exit 1 with
+    a `factbeam: error:` line, never an uncaught exception."""
+    ent, rel = tmp_path / "entities.tsv", tmp_path / "relations.tsv"
+    write_catalog_rows(ent, ENTITIES)
+    write_catalog_rows(rel, RELATIONS)
+    tries = tmp_path / "tries"
+    assert main(["build-trie", "--entities", str(ent), "--relations", str(rel), "--out-dir", str(tries)]) == 0
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    pred = docs_file(
+        tmp_path, "pred.jsonl",
+        [
+            {"id": "d1", "candidates": [{"rank": 1, "triplets": GOLD_RECORDS[0]["triplets"]}]},
+            {"id": "d2", "triplets": [{"sub": "Rome", "rel": "crosses", "obj": "Paris", "sub_span": [0, 4]}]},
+        ],
+    )
+    mentions = docs_file(tmp_path, "mentions.jsonl", [{"id": "d1", "spans": [[4, 9], [18, 22]]}])
+    counts = tmp_path / "counts.tsv"
+    counts.write_text("capital of\t3\ncrosses\t64\n", encoding="utf-8")
+    inputs = {
+        ent: "tsv", rel: "tsv", counts: "tsv", tries / "entity.trie": "trie",
+        tries / "relation.trie": "trie", Path(gold): "jsonl", Path(pred): "jsonl", Path(mentions): "jsonl",
+    }
+    catalog = ["--entities", str(ent), "--relations", str(rel)]
+    out = str(tmp_path / "out")
+    commands = [
+        ["build-trie", *catalog, "--out-dir", str(tmp_path / "built")],
+        ["decode", "--input", gold, *catalog, "--tries", str(tries), "--scorer", f"oracle:{gold}",
+         "-k", "2", "--max-len", "64", "--out", out],
+        ["evaluate", "--gold", gold, "--pred", pred, *catalog, "--counts", str(counts),
+         "--bootstrap", "20", "--out", out],
+        ["attribute", "--gold", gold, "--pred", pred, *catalog, "--mentions", mentions, "--out", out],
+        ["attribute", "--gold", gold, "--pred", pred, "--mentions", mentions, "--out", out],
+    ]
+    rng = random.Random(23)
+    pristine = {path: path.read_bytes() for path in inputs}
+    for round_ in range(160):
+        path = list(inputs)[round_ % len(inputs)]
+        path.write_bytes(_mutated(pristine[path], inputs[path], rng))
+        for argv in commands:
+            if str(path) in argv or str(path.parent) in argv:
+                rc = main(argv)
+                err = capsys.readouterr().err
+                assert rc in (0, 1), argv
+                assert rc == 0 or "factbeam: error:" in err, (argv, err)
+        path.write_bytes(pristine[path])

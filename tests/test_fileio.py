@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import random
+import re
 import struct
 
 import numpy as np
@@ -19,7 +20,6 @@ from factbeam import (
     load_catalog,
     load_trie,
     names_digest,
-    read_catalog_rows,
     read_counts,
     read_documents,
     read_jsonl,
@@ -54,28 +54,34 @@ def cat() -> Catalog:
 # --- catalog TSV --------------------------------------------------------------
 
 
+def load_entities(tmp_path, path) -> Catalog:
+    """The catalog of the entity file at path and a one-name relation file."""
+    rel = tmp_path / "rel.tsv"
+    write_catalog_rows(rel, ["r"])
+    return load_catalog(path, rel)
+
+
 def test_catalog_rows_round_trip(tmp_path):
     names = ["Paris", "Rome", "naïve café"]
     path = tmp_path / "ent.tsv"
     write_catalog_rows(path, names)
-    read_names, externals = read_catalog_rows(path)
-    assert read_names == names
-    assert externals is None
+    loaded = load_entities(tmp_path, path)
+    assert loaded.entity_names == tuple(names)
+    assert loaded.entity_ids == {"Paris": 0, "Rome": 1, "naïve café": 2}
 
 
-def test_catalog_rows_with_external_ids(tmp_path):
+def test_catalog_third_column_ignored(tmp_path):
     path = tmp_path / "ent.tsv"
-    write_catalog_rows(path, ["a", "b"], ["Q1", None])
-    names, externals = read_catalog_rows(path)
-    assert names == ["a", "b"]
-    assert externals == ["Q1", None]
+    path.write_bytes(b"0\ta\tQ1\r\n1\tb\n")
+    assert load_entities(tmp_path, path).entity_names == ("a", "b")
 
 
 def test_catalog_rows_any_id_order(tmp_path):
     path = tmp_path / "ent.tsv"
     path.write_text("2\tc\n0\ta\n1\tb\n", encoding="utf-8")
-    names, _ = read_catalog_rows(path)
-    assert names == ["a", "b", "c"]
+    loaded = load_entities(tmp_path, path)
+    assert loaded.entity_names == ("a", "b", "c")
+    assert loaded.entity_ids == {"a": 0, "b": 1, "c": 2}
 
 
 @pytest.mark.parametrize(
@@ -85,13 +91,25 @@ def test_catalog_rows_any_id_order(tmp_path):
         ("zero\ta\n", "non-integer id"),
         ("0\ta\n0\tb\n", "duplicate id"),
         ("0\ta\n2\tb\n", "dense"),
+        ("1\tb\n0\t \n", ":2: blank entity name at position 0"),
+        ("0\ta\n\n1\ta\n", ":3: duplicate entity name: 'a'"),
     ],
 )
 def test_catalog_rows_malformed(tmp_path, content, msg):
     path = tmp_path / "bad.tsv"
     path.write_text(content, encoding="utf-8")
-    with pytest.raises(CatalogError, match=msg):
-        read_catalog_rows(path)
+    with pytest.raises(CatalogError, match=msg) as exc:
+        load_entities(tmp_path, path)
+    assert str(exc.value).startswith(f"{path}:")
+
+
+def test_catalog_carriage_return_refused(tmp_path):
+    path = tmp_path / "crlf.tsv"
+    path.write_bytes(b"0\tRome\r\n1\tTiber\r\n")
+    with pytest.raises(CatalogError, match=re.escape(f"{path}:1: name 'Rome\\r' contains a carriage return")):
+        load_entities(tmp_path, path)
+    with pytest.raises(CatalogError, match="carriage return"):
+        write_catalog_rows(tmp_path / "out.tsv", ["Tiber\r"])
 
 
 def test_catalog_write_rejects_tab_in_name(tmp_path):
@@ -121,7 +139,7 @@ def test_counts_unknown_relation_skipped(tmp_path, cat, caplog):
     path.write_text("capital of\t3\nno such relation\t9\n", encoding="utf-8")
     with caplog.at_level(logging.WARNING, logger="factbeam"):
         assert read_counts(path, cat) == {0: 3}
-    assert "no such relation" in caplog.text
+    assert f"{path}:2: relation 'no such relation' not in catalog, skipped" in caplog.text
 
 
 @pytest.mark.parametrize("content", ["capital of\t-1\n", "capital of\tmany\n"])
@@ -343,6 +361,8 @@ def _set(field, index, value):
         (_set("tokens", 0, lambda a: a["tokens"][1] + 1), "not strictly ascending"),
         (_set("terminal", 0, -2), "terminal ids"),
         (_set("terminal", 0, 0), "terminal ids"),  # id 0 already ends at another node
+        (_set("tokens", -1, 0), "edge token 0 below the first content id"),  # a marker id
+        (_set("tokens", -1, -3), "edge token -3 below the first content id"),
     ],
 )
 def test_trie_corrupt_arrays(tmp_path, mutate, match):

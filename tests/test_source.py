@@ -38,3 +38,34 @@ def test_traced_benchmark_names_exist():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+
+def _opens_for_reading(call: ast.Call) -> bool:
+    """`open(...)` or `x.open(...)` in a reading mode, or `x.read_text()` / `x.read_bytes()`."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("read_text", "read_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    if mode is None:
+        mode = call.args[1] if len(call.args) > 1 else ast.Constant("r")
+    value = getattr(mode, "value", None)
+    return not isinstance(value, str) or "r" in value or "+" in value
+
+
+def test_one_reader_opens_input_files():
+    """Text inputs are read through `fileio._read_lines`, which puts the
+    file and line on every error; besides it only the binary trie reader
+    and the file hash open files for reading."""
+    found = {
+        f"{path.name}:{fn.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and _opens_for_reading(node)
+    }
+    assert sorted(found) == ["fileio.py:_read_lines", "fileio.py:load_trie", "fileio.py:sha256_file"]
