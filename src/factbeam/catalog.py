@@ -35,10 +35,6 @@ class DuplicateName(CatalogError):
         self.kind = kind
 
 
-class InvalidPrefix(CatalogError):
-    """Raised when a prefix walks off the trie."""
-
-
 @dataclass(frozen=True)
 class Catalog:
     """Immutable registry of entity and relation names with dense ids.
@@ -144,19 +140,6 @@ class TokenTrie:
     def terminal_id(self, node: int) -> int | None:
         t = self.terminal[node]
         return None if t < 0 else t
-
-    def walk(self, prefix: Sequence[int]) -> int:
-        """Follow prefix from the root, returning the node index.
-
-        Raises InvalidPrefix if any step has no matching edge.
-        """
-        node = self.ROOT
-        for depth, token in enumerate(prefix):
-            nxt = self.child(node, token)
-            if nxt is None:
-                raise InvalidPrefix(f"token {token} at position {depth} leaves the trie")
-            node = nxt
-        return node
 
     def approx_bytes(self) -> int:
         """In-memory size of the node and edge arrays."""

@@ -9,7 +9,6 @@ failed run leaves the previous files as they were, so exit code 0 means
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .attribution import ner_error, nel_rc_errors, recall_error
-from .catalog import Catalog, CatalogError, TokenTrie, add_name, build_trie, names_digest
+from .catalog import Catalog, TokenTrie, add_name, build_trie, names_digest
 from .decoder import DecodeConfig, NoCompleteHypothesis, Scorer, decode
 from .fileio import (
     Document,
@@ -488,7 +487,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, CatalogError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"factbeam: error: {exc}", file=sys.stderr)
         return 1
 

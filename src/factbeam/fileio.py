@@ -13,7 +13,7 @@ import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -80,10 +80,10 @@ def _read_catalog_file(path: str | Path, kind: str) -> tuple[tuple[str, ...], di
         parts = line.split("\t")
         if len(parts) not in (2, 3):
             raise CatalogError("expected 2 or 3 tab-separated fields")
-        try:
-            ident = int(parts[0])
-        except ValueError:
-            raise CatalogError(f"non-integer id {parts[0]!r}") from None
+        # int() alone would also take signs, spaces, underscores and non-ASCII digits
+        if not (parts[0].isascii() and parts[0].isdigit()):
+            raise CatalogError(f"non-integer id {parts[0]!r}: expected ASCII digits 0-9")
+        ident = int(parts[0])
         if ident in names:
             raise CatalogError(f"duplicate id {ident}")
         name = parts[1]
@@ -97,16 +97,6 @@ def _read_catalog_file(path: str | Path, kind: str) -> tuple[tuple[str, ...], di
         return tuple(names[i] for i in range(len(names))), ids
     except KeyError:
         raise CatalogError(f"{path}: ids are not dense 0..{len(names) - 1}") from None
-
-
-def write_catalog_rows(path: str | Path, names: Sequence[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, name in enumerate(names):
-            if "\t" in name or "\n" in name:
-                raise CatalogError(f"name {name!r} contains a tab or newline")
-            if "\r" in name:
-                raise CatalogError(f"name {name!r} contains a carriage return")
-            fh.write(f"{i}\t{name}\n")
 
 
 def load_catalog(entity_file: str | Path, relation_file: str | Path) -> Catalog:
@@ -136,12 +126,9 @@ def read_counts(path: str | Path, cat: Catalog) -> dict[int, int]:
         if name in seen:
             raise CatalogError(f"duplicate relation {name!r}")
         seen.add(name)
-        try:
-            count = int(raw)
-        except ValueError:
-            raise CatalogError(f"non-integer count {raw!r}") from None
-        if count < 0:
-            raise CatalogError("negative count")
+        if not (raw.isascii() and raw.isdigit()):
+            raise CatalogError(f"non-integer count {raw!r}: expected ASCII digits 0-9")
+        count = int(raw)
         rel = cat.relation_ids.get(name)
         if rel is None:
             return f"relation {name!r} not in catalog, skipped"
@@ -152,12 +139,6 @@ def read_counts(path: str | Path, cat: Catalog) -> dict[int, int]:
     return out
 
 
-def write_counts(path: str | Path, counts: Mapping[int, int], cat: Catalog) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rel in sorted(counts):
-            fh.write(f"{cat.relation_name(rel)}\t{counts[rel]}\n")
-
-
 # --- documents / predictions JSONL -----------------------------------------
 
 
@@ -165,12 +146,10 @@ def _span(raw, doc_id: str) -> tuple[int, int] | None:
     if raw is None:
         return None
     message = f"doc {doc_id!r}: span must be a [start, end] pair"
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+    # type() is int, not isinstance: a bool is not a position
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2 or not all(type(x) is int for x in raw):
         raise ValueError(message)
-    try:
-        return int(raw[0]), int(raw[1])
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(message) from None
+    return raw[0], raw[1]
 
 
 def triplet_from_json(obj: Mapping, cat: Catalog, doc_id: str) -> MentionedTriplet:

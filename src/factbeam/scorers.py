@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -70,36 +70,6 @@ class OracleScorer:
             if n < len(self.target) and tuple(prefix) == self.target[:n]:
                 out[i] = self._off
                 out[i, self.target[n]] = self._on
-        return out
-
-
-class TableScorer:
-    """Looks up a stored log-prob table per prefix; uniform fallback.
-
-    Tables are keyed by the prefix token tuple. Each table must already
-    be normalized (exp-sum 1 within 1e-6); construction validates this.
-    """
-
-    __slots__ = ("vocab_size", "_tables", "_uniform")
-
-    def __init__(self, tables: Mapping[tuple[int, ...], np.ndarray], vocab_size: int) -> None:
-        self.vocab_size = vocab_size
-        self._uniform = np.full(vocab_size, -math.log(vocab_size))
-        frozen: dict[tuple[int, ...], np.ndarray] = {}
-        for key, table in tables.items():
-            arr = np.asarray(table, dtype=float)
-            if arr.shape != (vocab_size,):
-                raise ValueError(f"table for {key} has shape {arr.shape}")
-            total = float(np.exp(arr).sum())
-            if abs(total - 1.0) > 1e-6:
-                raise ValueError(f"table for {key} sums to {total}, not 1")
-            frozen[tuple(key)] = arr.copy()
-        self._tables = frozen
-
-    def next_log_probs(self, context: str, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        out = np.empty((len(prefixes), self.vocab_size))
-        for i, prefix in enumerate(prefixes):
-            out[i] = self._tables.get(tuple(prefix), self._uniform)
         return out
 
 

@@ -18,19 +18,14 @@ from factbeam import (
     Catalog,
     DecodeConfig,
     EvalPair,
-    Hypothesis,
-    MentionedTriplet,
-    NoCompleteHypothesis,
-    RelationScore,
-    ScoreReport,
+    TokenTrie,
     Triplet,
-    allowed_tokens,
-    bucket_relations,
     build_catalog,
-    f1_score,
     linearize,
-    order_triplets,
 )
+from factbeam.decoder import Hypothesis, NoCompleteHypothesis, allowed_tokens
+from factbeam.linearize import MentionedTriplet
+from factbeam.metrics import RelationScore, ScoreReport, bucket_relations, f1_score
 from factbeam.tokens import EOS, ET, OBJ, REL, SUB, Tokenizer
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz "
@@ -49,6 +44,11 @@ def rand_names(rng: random.Random, count: int, min_len: int = 1, max_len: int = 
         if name.strip():
             out.add(name)
     return sorted(out)
+
+
+def catalog_tsv(names: Sequence[str]) -> str:
+    """The catalog TSV text of names, ids 0.. in list order."""
+    return "".join(f"{i}\t{name}\n" for i, name in enumerate(names))
 
 
 def rand_catalog(rng: random.Random, max_entities: int, max_relations: int,
@@ -92,8 +92,8 @@ def oracle_allowed_next(
 ) -> tuple[set[int], int | None] | None:
     """Brute-force prefix filter over the raw name list.
 
-    Returns None when the prefix is not a prefix of any name (the trie
-    must raise InvalidPrefix), else (continuation tokens, completed id).
+    Returns None when the prefix is not a prefix of any name (it leaves
+    the trie), else (continuation tokens, completed id).
     """
     prefix = list(prefix)
     continuations: set[int] = set()
@@ -123,15 +123,22 @@ class RefTrie(NamedTuple):
     targets: np.ndarray
     terminal: np.ndarray
 
-    def walk(self, prefix: Sequence[int]) -> int:
-        node = 0
-        for token in prefix:
-            lo, hi = self.offsets[node], self.offsets[node + 1]
-            node = int(self.targets[lo + list(self.tokens[lo:hi]).index(token)])
-        return node
+    def child(self, node: int, token: int) -> int | None:
+        edges = self.children_of(node)
+        return int(self.targets[self.offsets[node] + edges.index(token)]) if token in edges else None
 
     def children_of(self, node: int) -> list[int]:
         return self.tokens[self.offsets[node] : self.offsets[node + 1]].tolist()
+
+
+def walk(trie: TokenTrie | RefTrie, prefix: Sequence[int]) -> int | None:
+    """The node that prefix leads to from the root, or None when it leaves the trie."""
+    node = 0
+    for token in prefix:
+        node = trie.child(node, token)
+        if node is None:
+            break
+    return node
 
 
 def ref_build_trie(names_with_ids: Sequence[tuple[int, str]], tok: Tokenizer) -> RefTrie:
@@ -173,19 +180,20 @@ class CachingScorer:
     """Memoizes another scorer's rows per (context, prefix).
 
     Lets the enumeration oracle and the beam share one set of
-    distributions without recomputing; determinism is preserved.
+    distributions without recomputing; determinism is preserved. A row
+    put in `cache` beforehand is served in place of the inner scorer's.
     """
 
     def __init__(self, inner) -> None:
         self.inner = inner
         self.vocab_size = inner.vocab_size
-        self._cache: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
+        self.cache: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
 
     def row(self, context: str, prefix: Sequence[int]) -> np.ndarray:
         key = (context, tuple(prefix))
-        row = self._cache.get(key)
+        row = self.cache.get(key)
         if row is None:
-            row = self._cache[key] = self.inner.next_log_probs(context, [prefix])[0]
+            row = self.cache[key] = self.inner.next_log_probs(context, [prefix])[0]
         return row
 
     def next_log_probs(self, context: str, prefixes: Sequence[Sequence[int]]) -> np.ndarray:

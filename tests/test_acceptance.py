@@ -16,28 +16,22 @@ import conftest
 from factbeam import (
     ByteTokenizer,
     DecodeConfig,
-    EvalPair,
-    InvalidPrefix,
-    NoCompleteHypothesis,
     RandomScorer,
     Triplet,
-    UniformScorer,
-    beam_search,
-    bucket_relations,
     build_catalog,
     build_trie,
     decode,
-    edge_weight,
     linearize,
-    macro_scores,
     match,
-    micro_scores,
     nel_rc_errors,
     order_triplets,
     parse,
-    per_relation_scores,
     train_ngram,
 )
+from factbeam.attribution import edge_weight
+from factbeam.decoder import NoCompleteHypothesis, beam_search
+from factbeam.metrics import bucket_relations, macro_scores, micro_scores, per_relation_scores
+from factbeam.scorers import UniformScorer
 
 from helpers import (
     CachingScorer,
@@ -52,6 +46,7 @@ from helpers import (
     rand_catalog,
     rand_eval_pairs,
     rand_triplet_set,
+    walk,
     weights_one_to_six_pairs,
 )
 
@@ -191,17 +186,14 @@ def test_criterion_4_trie_oracles():
             enc = TOK.encode(name)
             prefixes.update(tuple(enc[:j]) for j in range(1, len(enc) + 1))
         for p in prefixes:
-            node = trie.walk(p)
+            node = walk(trie, p)
             got = (set(trie.children_of(node)), trie.terminal_id(node))
             if got != oracle_allowed_next(pairs, TOK, list(p)):
                 failures += 1
 
         def member(s: str) -> bool:
-            try:
-                node = trie.walk(TOK.encode(s))
-            except InvalidPrefix:
-                return False
-            return trie.terminal_id(node) is not None
+            node = walk(trie, TOK.encode(s))
+            return node is not None and trie.terminal_id(node) is not None
 
         name_set = set(names)
         for n in names:

@@ -3,17 +3,8 @@ import random
 
 import pytest
 
-from factbeam import (
-    EvalPair,
-    MentionedTriplet,
-    MissingSpans,
-    Triplet,
-    edge_weight,
-    match,
-    nel_rc_errors,
-    ner_error,
-    recall_error,
-)
+from factbeam import EvalPair, Triplet, match, nel_rc_errors
+from factbeam.attribution import MissingSpans, edge_weight, ner_error, recall_error
 
 from helpers import (
     mentioned,

@@ -2,18 +2,11 @@ import random
 
 import pytest
 
-from factbeam import (
-    DuplicateName,
-    EmptyName,
-    InvalidPrefix,
-    build_catalog,
-    build_trie,
-    load_trie,
-    save_trie,
-)
+from factbeam import build_catalog, build_trie, load_trie, save_trie
+from factbeam.catalog import DuplicateName, EmptyName
 from factbeam.tokens import ByteTokenizer
 
-from helpers import oracle_allowed_next, rand_names, ref_build_trie
+from helpers import oracle_allowed_next, rand_names, ref_build_trie, walk
 
 TOK = ByteTokenizer()
 
@@ -24,7 +17,7 @@ def enc(text: str) -> list[int]:
 
 def next_of(trie, prefix) -> tuple[set[int], int | None]:
     """Continuation tokens and completed catalog id after prefix."""
-    node = trie.walk(prefix)
+    node = walk(trie, prefix)
     return set(trie.children_of(node)), trie.terminal_id(node)
 
 
@@ -66,14 +59,14 @@ def test_unknown_id_lookup_raises():
         cat.relation_name(-1)
 
 
-# --- build_trie / walk ------------------------------------------------------
+# --- build_trie ------------------------------------------------------------
 
 
 def test_prefix_name_is_internal_terminal():
     trie = build_trie([(0, "Rome"), (1, "Romeo")], TOK)
-    node = trie.walk(enc("Rome"))
+    node = walk(trie, enc("Rome"))
     assert trie.terminal_id(node) == 0
-    deeper = trie.walk(enc("Romeo"))
+    deeper = walk(trie, enc("Romeo"))
     assert trie.terminal_id(deeper) == 1
     assert set(trie.children_of(node)) == {enc("o")[0]}
 
@@ -105,14 +98,6 @@ def test_root_continuations_are_first_tokens():
     conts, completed = next_of(trie, [])
     assert conts == {enc(n)[0] for n in names}
     assert completed is None
-
-
-def test_invalid_prefix_raises():
-    trie = build_trie([(0, "Rome")], TOK)
-    with pytest.raises(InvalidPrefix):
-        trie.walk(enc("Rx"))
-    with pytest.raises(InvalidPrefix):
-        trie.walk(enc("Romee"))
 
 
 def test_build_determinism_and_structural_equality():
@@ -185,7 +170,7 @@ def test_level_order_layout_matches_preorder_reference():
         assert trie.node_count == len(ref.terminal) and len(trie) == len(names)
         prefixes = {tuple(enc(n)[:i]) for n in names for i in range(len(enc(n)) + 1)} | {()}
         for prefix in prefixes:
-            node, ref_node = trie.walk(prefix), ref.walk(prefix)
+            node, ref_node = walk(trie, prefix), walk(ref, prefix)
             assert list(trie.children_of(node)) == ref.children_of(ref_node)
             assert trie.terminal_id(node) == (None if ref.terminal[ref_node] < 0 else ref.terminal[ref_node])
         depth = [0] * trie.node_count
@@ -204,8 +189,8 @@ def test_one_long_name_among_short_ones():
     assert trie.node_count == len(ref.terminal)
     for catalog_id, name in pairs:
         prefix = enc(name)
-        assert trie.terminal_id(trie.walk(prefix)) == catalog_id
-        assert list(trie.children_of(trie.walk(prefix[:4001]))) == ref.children_of(ref.walk(prefix[:4001]))
+        assert trie.terminal_id(walk(trie, prefix)) == catalog_id
+        assert list(trie.children_of(walk(trie, prefix[:4001]))) == ref.children_of(walk(ref, prefix[:4001]))
 
 
 def test_membership_matches_hash_set():
@@ -215,10 +200,7 @@ def test_membership_matches_hash_set():
     trie = build_trie(list(enumerate(names)), TOK)
     probes = names + rand_names(rng, 300, 1, 6)
     for probe in probes:
-        try:
-            node = trie.walk(enc(probe))
-            found = trie.terminal_id(node) is not None
-        except InvalidPrefix:
-            found = False
+        node = walk(trie, enc(probe))
+        found = node is not None and trie.terminal_id(node) is not None
         assert found == (probe in member)
 

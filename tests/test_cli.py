@@ -13,18 +13,17 @@ from factbeam import (
     EvalPair,
     TokenTrie,
     Triplet,
-    bucketed_f1,
     build_catalog,
     build_trie,
     load_trie,
     names_digest,
-    read_jsonl,
     save_trie,
-    sha256_file,
-    write_catalog_rows,
-    write_jsonl,
 )
 from factbeam.cli import main
+from factbeam.fileio import read_jsonl, sha256_file, write_jsonl
+from factbeam.metrics import bucketed_f1
+
+from helpers import catalog_tsv
 
 ENTITIES = ["Paris", "Rome", "Tiber"]
 RELATIONS = ["capital of", "crosses"]
@@ -34,8 +33,8 @@ RELATIONS = ["capital of", "crosses"]
 def catalog_files(tmp_path):
     ent = tmp_path / "entities.tsv"
     rel = tmp_path / "relations.tsv"
-    write_catalog_rows(ent, ENTITIES)
-    write_catalog_rows(rel, RELATIONS)
+    ent.write_text(catalog_tsv(ENTITIES), encoding="utf-8")
+    rel.write_text(catalog_tsv(RELATIONS), encoding="utf-8")
     return str(ent), str(rel)
 
 
@@ -170,7 +169,7 @@ def test_decode_tries_from_other_catalog(tmp_path, catalog_files, capsys):
     ent, rel = catalog_files
     other = tmp_path / "other_entities.tsv"
     # as many names as the catalog, so only the decoded names give it away
-    write_catalog_rows(other, ["Seine", "Oslo", "Bern"])
+    other.write_text(catalog_tsv(["Seine", "Oslo", "Bern"]), encoding="utf-8")
     tries = tmp_path / "tries"
     assert main(["build-trie", "--entities", str(other), "--relations", rel, "--out-dir", str(tries)]) == 0
     docs = docs_file(tmp_path, "docs.jsonl", [{"id": "d1", "input": "The Seine."}])
@@ -187,7 +186,7 @@ def test_decode_tries_from_other_catalog(tmp_path, catalog_files, capsys):
 def test_decode_tries_name_count_differs(tmp_path, catalog_files, capsys):
     ent, rel = catalog_files
     other = tmp_path / "other_entities.tsv"
-    write_catalog_rows(other, ENTITIES[:2])
+    other.write_text(catalog_tsv(ENTITIES[:2]), encoding="utf-8")
     tries = tmp_path / "tries"
     assert main(["build-trie", "--entities", str(other), "--relations", rel, "--out-dir", str(tries)]) == 0
     gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
@@ -587,7 +586,12 @@ BAD_TRIPLET_RECORDS = [
     "kind, record, message",
     [(kind, *case) for kind in ("gold", "pred") for case in BAD_TRIPLET_RECORDS]
     + [("pred", {"id": "d4", "candidates": [{"rank": 1, "triplets": ["Rome"]}]},
-        '"candidates[].triplets" must be a list of triplet objects')],
+        '"candidates[].triplets" must be a list of triplet objects')]
+    + [
+        (kind, {"id": "d4", "triplets": [{"sub": "Rome", "rel": "crosses", "obj": "Paris", "sub_span": span}]},
+         "doc 'd4': span must be a [start, end] pair")
+        for kind in ("gold", "pred") for span in ([0.9, True], ["2", 3.7])
+    ],
 )
 def test_bad_triplet_entries(tmp_path, catalog_files, capsys, kind, record, message):
     ent, rel = catalog_files
@@ -638,7 +642,7 @@ def test_catalog_name_errors_located(tmp_path, capsys, subcommand, rows, message
     ent = tmp_path / "entities.tsv"
     ent.write_text(rows, encoding="utf-8")
     rel = tmp_path / "relations.tsv"
-    write_catalog_rows(rel, RELATIONS)
+    rel.write_text(catalog_tsv(RELATIONS), encoding="utf-8")
     gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
     out = tmp_path / "out"
     rest = {
@@ -871,8 +875,8 @@ def test_cli_survives_mutated_inputs(tmp_path, capsys):
     """Every subcommand on randomly damaged inputs: exit 0 or exit 1 with
     a `factbeam: error:` line, never an uncaught exception."""
     ent, rel = tmp_path / "entities.tsv", tmp_path / "relations.tsv"
-    write_catalog_rows(ent, ENTITIES)
-    write_catalog_rows(rel, RELATIONS)
+    ent.write_text(catalog_tsv(ENTITIES), encoding="utf-8")
+    rel.write_text(catalog_tsv(RELATIONS), encoding="utf-8")
     tries = tmp_path / "tries"
     assert main(["build-trie", "--entities", str(ent), "--relations", str(rel), "--out-dir", str(tries)]) == 0
     gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)

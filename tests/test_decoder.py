@@ -6,17 +6,9 @@ import pytest
 
 from factbeam import (
     DecodeConfig,
-    Hypothesis,
     InvalidScores,
-    InvalidSequence,
-    NoCompleteHypothesis,
-    OracleScorer,
     RandomScorer,
-    TableScorer,
     Triplet,
-    UniformScorer,
-    allowed_tokens,
-    beam_search,
     build_catalog,
     build_trie,
     decode,
@@ -25,6 +17,14 @@ from factbeam import (
     parse,
     train_ngram,
 )
+from factbeam.decoder import (
+    Hypothesis,
+    InvalidSequence,
+    NoCompleteHypothesis,
+    allowed_tokens,
+    beam_search,
+)
+from factbeam.scorers import OracleScorer, UniformScorer
 from factbeam.tokens import EOS, ET, OBJ, REL, SUB, ByteTokenizer
 
 from helpers import (
@@ -34,6 +34,7 @@ from helpers import (
     rand_catalog,
     rand_triplet_set,
     ref_beam_search,
+    walk,
 )
 
 TOK = ByteTokenizer()
@@ -85,25 +86,25 @@ def test_empty_catalog_boundary_offers_only_eos():
 
 def test_subject_terminal_offers_continuation_and_closer():
     # cursor at "Rome" in trie over {"Rome", "Romeo"}
-    node = TRIES[0].walk(TOK.encode("Rome"))
+    node = walk(TRIES[0], TOK.encode("Rome"))
     h = Hypothesis(tokens=(SUB, *TOK.encode("Rome")), marker=SUB, cursor=node)
     assert allowed_tokens(h, TRIES, DecodeConfig(beam_size=1)) == [REL, TOK.encode("o")[0]]
 
 
 def test_object_leaf_offers_only_closer():
-    node = TRIES[0].walk(TOK.encode("Romeo"))
+    node = walk(TRIES[0], TOK.encode("Romeo"))
     h = Hypothesis(tokens=(), marker=OBJ, cursor=node)
     assert allowed_tokens(h, TRIES, DecodeConfig(beam_size=1)) == [ET]
 
 
 def test_relation_terminal_offers_obj():
-    node = TRIES[1].walk(TOK.encode("born in"))
+    node = walk(TRIES[1], TOK.encode("born in"))
     h = Hypothesis(tokens=(), marker=REL, cursor=node)
     assert allowed_tokens(h, TRIES, DecodeConfig(beam_size=1)) == [OBJ]
 
 
 def test_mid_name_offers_trie_continuations_only():
-    node = TRIES[0].walk(TOK.encode("Ro"))
+    node = walk(TRIES[0], TOK.encode("Ro"))
     h = Hypothesis(tokens=(), marker=SUB, cursor=node)
     assert allowed_tokens(h, TRIES, DecodeConfig(beam_size=1)) == [TOK.encode("m")[0]]
 
@@ -416,18 +417,18 @@ def test_decode_through_the_traced_run_surface_equals_plain_decode():
 
 
 def _tied_table_scorer(rng, cat):
-    """Tables for the prefixes of a few linearizations, built from four
-    weights (0 among them, so -inf entries occur): many equal log-probs,
-    and so many tied scores."""
-    tables = {}
+    """Uniform, except for rows at the prefixes of a few linearizations,
+    built from four weights (0 among them, so -inf entries occur): many
+    equal log-probs, and so many tied scores."""
+    scorer = CachingScorer(UniformScorer(V))
     for _ in range(3):
         seq = linearize(order_triplets(rand_triplet_set(rng, cat, 2)), cat, TOK)
         for i in range(len(seq)):
             weights = np.array([rng.choice((0.0, 1.0, 2.0, 4.0)) for _ in range(V)])
             weights[rng.randrange(V)] = 1.0
             with np.errstate(divide="ignore"):
-                tables[tuple(seq[:i])] = np.log(weights / weights.sum())
-    return TableScorer(tables, V)
+                scorer.cache["ctx", tuple(seq[:i])] = np.log(weights / weights.sum())
+    return scorer
 
 
 def _search(search, text, scorer, tries, cfg):

@@ -9,35 +9,34 @@ import numpy as np
 import pytest
 
 from factbeam import (
+    ByteTokenizer,
     Catalog,
-    CatalogError,
-    MentionedTriplet,
     TokenTrie,
-    TrieFormatError,
     Triplet,
     build_catalog,
     build_trie,
     load_catalog,
     load_trie,
     names_digest,
-    read_counts,
     read_documents,
-    read_jsonl,
-    read_mentions,
     read_prediction_sets,
     save_trie,
+)
+from factbeam.catalog import CatalogError
+from factbeam.fileio import (
+    TRIE_MAGIC,
+    TrieFormatError,
+    read_counts,
+    read_jsonl,
+    read_mentions,
     sha256_file,
     triplet_from_json,
     triplet_to_json,
-    write_catalog_rows,
-    write_counts,
     write_jsonl,
 )
+from factbeam.linearize import MentionedTriplet
 
-from factbeam import ByteTokenizer
-from factbeam.fileio import TRIE_MAGIC
-
-from helpers import rand_names
+from helpers import catalog_tsv, rand_names
 
 TOK = ByteTokenizer()
 
@@ -57,14 +56,14 @@ def cat() -> Catalog:
 def load_entities(tmp_path, path) -> Catalog:
     """The catalog of the entity file at path and a one-name relation file."""
     rel = tmp_path / "rel.tsv"
-    write_catalog_rows(rel, ["r"])
+    rel.write_text("0\tr\n", encoding="utf-8")
     return load_catalog(path, rel)
 
 
 def test_catalog_rows_round_trip(tmp_path):
     names = ["Paris", "Rome", "naïve café"]
     path = tmp_path / "ent.tsv"
-    write_catalog_rows(path, names)
+    path.write_text(catalog_tsv(names), encoding="utf-8")
     loaded = load_entities(tmp_path, path)
     assert loaded.entity_names == tuple(names)
     assert loaded.entity_ids == {"Paris": 0, "Rome": 1, "naïve café": 2}
@@ -89,6 +88,10 @@ def test_catalog_rows_any_id_order(tmp_path):
     [
         ("0\ta\tx\ty\n", "fields"),
         ("zero\ta\n", "non-integer id"),
+        ("\u0661\ta\n", ":1: non-integer id '\u0661'"),  # ARABIC-INDIC DIGIT ONE
+        ("0\ta\n+1\tb\n", ":2: non-integer id '\\+1'"),
+        ("0\ta\n 1\tb\n", ":2: non-integer id ' 1'"),
+        ("0_0\ta\n", ":1: non-integer id '0_0'"),
         ("0\ta\n0\tb\n", "duplicate id"),
         ("0\ta\n2\tb\n", "dense"),
         ("1\tb\n0\t \n", ":2: blank entity name at position 0"),
@@ -108,18 +111,11 @@ def test_catalog_carriage_return_refused(tmp_path):
     path.write_bytes(b"0\tRome\r\n1\tTiber\r\n")
     with pytest.raises(CatalogError, match=re.escape(f"{path}:1: name 'Rome\\r' contains a carriage return")):
         load_entities(tmp_path, path)
-    with pytest.raises(CatalogError, match="carriage return"):
-        write_catalog_rows(tmp_path / "out.tsv", ["Tiber\r"])
-
-
-def test_catalog_write_rejects_tab_in_name(tmp_path):
-    with pytest.raises(CatalogError):
-        write_catalog_rows(tmp_path / "x.tsv", ["a\tb"])
 
 
 def test_load_catalog(tmp_path, cat):
-    write_catalog_rows(tmp_path / "e.tsv", list(cat.entity_names))
-    write_catalog_rows(tmp_path / "r.tsv", list(cat.relation_names))
+    (tmp_path / "e.tsv").write_text(catalog_tsv(cat.entity_names), encoding="utf-8")
+    (tmp_path / "r.tsv").write_text(catalog_tsv(cat.relation_names), encoding="utf-8")
     loaded = load_catalog(tmp_path / "e.tsv", tmp_path / "r.tsv")
     assert loaded.entity_names == cat.entity_names
     assert loaded.relation_names == cat.relation_names
@@ -130,7 +126,7 @@ def test_load_catalog(tmp_path, cat):
 
 def test_counts_round_trip(tmp_path, cat):
     path = tmp_path / "counts.tsv"
-    write_counts(path, {1: 7, 0: 42}, cat)
+    path.write_text("crosses\t7\ncapital of\t042\n", encoding="utf-8")
     assert read_counts(path, cat) == {0: 42, 1: 7}
 
 
@@ -142,7 +138,10 @@ def test_counts_unknown_relation_skipped(tmp_path, cat, caplog):
     assert f"{path}:2: relation 'no such relation' not in catalog, skipped" in caplog.text
 
 
-@pytest.mark.parametrize("content", ["capital of\t-1\n", "capital of\tmany\n"])
+@pytest.mark.parametrize(
+    "content",
+    ["capital of\t-1\n", "capital of\tmany\n", "capital of\t\uff15\n", "capital of\t 1_0 \n", "capital of\t\n"],
+)
 def test_counts_bad_values(tmp_path, cat, content):
     path = tmp_path / "counts.tsv"
     path.write_text(content, encoding="utf-8")
@@ -191,9 +190,10 @@ def test_triplet_json_missing_field(cat):
 
 
 def test_triplet_json_bad_span(cat):
-    obj = {"sub": "Rome", "rel": "crosses", "obj": "Paris", "sub_span": [3]}
-    with pytest.raises(ValueError, match="span"):
-        triplet_from_json(obj, cat, "d")
+    for span in ([3], [0.9, True], ["2", 3.7], [0, 4.0], [False, 4], [0, None]):
+        obj = {"sub": "Rome", "rel": "crosses", "obj": "Paris", "sub_span": span}
+        with pytest.raises(ValueError, match=re.escape("doc 'd': span must be a [start, end] pair")):
+            triplet_from_json(obj, cat, "d")
 
 
 # --- documents / predictions JSONL ------------------------------------------------

@@ -2,15 +2,8 @@ import random
 
 import pytest
 
-from factbeam import (
-    MentionedTriplet,
-    Triplet,
-    UnknownId,
-    build_catalog,
-    linearize,
-    order_triplets,
-    parse,
-)
+from factbeam import Triplet, build_catalog, linearize, order_triplets, parse
+from factbeam.linearize import MentionedTriplet, UnknownId
 from factbeam.tokens import EOS, ET, OBJ, REL, SUB, ByteTokenizer
 
 from helpers import mentioned, rand_catalog, rand_triplet_set, ref_span_sort_key

@@ -5,22 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from factbeam import (
-    EvalPair,
+from factbeam import EvalPair, Triplet, bootstrap_ci, build_catalog, score_report
+from factbeam.attribution import recall_error
+from factbeam.metrics import (
     ScoreReport,
-    Triplet,
-    bootstrap_ci,
     bucket_relations,
     bucketed_f1,
-    build_catalog,
     f1_score,
     macro_scores,
     micro_scores,
     per_relation_scores,
-    score_report,
 )
 
-from factbeam import recall_error
 from helpers import (
     oracle_macro,
     oracle_micro,

@@ -4,14 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from factbeam import (
-    NGramScorer,
-    OracleScorer,
-    RandomScorer,
-    TableScorer,
-    UniformScorer,
-    train_ngram,
-)
+from factbeam import NGramScorer, RandomScorer, train_ngram
+from factbeam.scorers import OracleScorer, UniformScorer
 from factbeam.tokens import ByteTokenizer
 
 from helpers import RefNGram
@@ -77,26 +71,6 @@ def test_oracle_validation():
         OracleScorer([3], vocab_size=10, mass=1.0)
     with pytest.raises(ValueError):
         OracleScorer([11], vocab_size=10)
-
-
-# --- table ---------------------------------------------------------------------
-
-
-def test_table_lookup_and_fallback():
-    stored = np.log(np.full(4, 0.25))
-    s = TableScorer({(1, 2): stored}, vocab_size=4)
-    assert np.array_equal(row(s, "", [1, 2]), stored)
-    assert np.allclose(row(s, "", [9]), -math.log(4))
-
-
-def test_table_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        TableScorer({(): np.zeros(4)}, vocab_size=4)  # exp sums to 4
-
-
-def test_table_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        TableScorer({(): np.log(np.full(3, 1 / 3))}, vocab_size=4)
 
 
 # --- random ----------------------------------------------------------------------
@@ -218,12 +192,9 @@ def test_every_scorer_row_is_independent_of_the_other_prefixes():
     rng = random.Random(5)
     target = [1, 2, 3, 4]
     corpus = [[rng.randrange(V) for _ in range(10)] for _ in range(5)]
-    weights = np.arange(1.0, V + 1)
-    tables = {(1,): np.full(V, -math.log(V)), (7, 7): np.log(weights / weights.sum())}
     scorers = [
         UniformScorer(V),
         OracleScorer(target, vocab_size=V),
-        TableScorer(tables, V),
         RandomScorer(2, V),
         train_ngram(corpus, n=3, tokenizer=TOK),
     ]

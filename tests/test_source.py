@@ -2,10 +2,14 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
+
+import factbeam
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "factbeam"
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_package_has_no_assert_statements():
@@ -40,7 +44,6 @@ def test_traced_benchmark_names_exist():
     assert missing == []
 
 
-
 def _opens_for_reading(call: ast.Call) -> bool:
     """`open(...)` or `x.open(...)` in a reading mode, or `x.read_text()` / `x.read_bytes()`."""
     func = call.func
@@ -69,3 +72,52 @@ def test_one_reader_opens_input_files():
         if isinstance(node, ast.Call) and _opens_for_reading(node)
     }
     assert sorted(found) == ["fileio.py:_read_lines", "fileio.py:load_trie", "fileio.py:sha256_file"]
+
+
+def test_every_exported_name_is_in_the_readme():
+    """`__all__` is the surface the README documents, no more."""
+    assert len(factbeam.__all__) <= 30
+    assert [name for name in factbeam.__all__ if not re.search(rf"\b{name}\b", README)] == []
+
+
+def test_no_package_code_serves_only_the_tests():
+    """Every top-level def and class and every non-dunder method is used
+    by other package code, the benchmark or a README; code that only
+    the tests call belongs in the tests. `__init__.py`'s re-exports are
+    not uses."""
+    defined, used = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{path.name}:{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{path.name}:{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not re.fullmatch(r"__\w+__", item.name)
+                ]
+        if path.name != "__init__.py":
+            used.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
+            used.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    texts = [*sorted((ROOT / "bench").glob("*.py")), ROOT / "README.md", ROOT / "bench" / "README.md"]
+    used.update(re.findall(r"\w+", " ".join(p.read_text(encoding="utf-8") for p in texts)))
+    assert len(defined) >= 80
+    assert [label for label, name in defined if name not in used] == []
+
+
+def test_readme_quick_start_gives_the_commented_set():
+    """The README's Python block runs, imports only exported names, and
+    its top set is the one its comment shows."""
+    block = re.search(r"```python\n(.*?)```", README, re.S).group(1)
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imported and set(imported) <= set(factbeam.__all__)
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    shown = re.search(r"^top_set, log_prob = ranked\[0\]\n# (frozenset\(.*?\))  ", block, re.M).group(1)
+    assert namespace["top_set"] == eval(shown, {"frozenset": frozenset, "Triplet": factbeam.Triplet})
