@@ -32,6 +32,7 @@ from .fileio import (
     read_prediction_sets,
     save_trie,
     load_trie,
+    log,
     sha256_file,
     triplet_lists,
     triplet_to_json,
@@ -68,66 +69,30 @@ def _transaction():
             temp.unlink(missing_ok=True)
 
 
-def _write_manifest(
-    path: Path,
-    stage: Callable[[Path], Path],
-    subcommand: str,
-    config: Mapping,
-    inputs: Mapping[str, str | Path],
-    seed: int,
-) -> None:
-    manifest = {
-        "tool": "factbeam",
-        "version": __version__,
-        "subcommand": subcommand,
-        "seed": seed,
-        "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in config.items()},
-        "inputs": {
-            label: {"path": str(p), "sha256": sha256_file(p)} for label, p in inputs.items()
-        },
-    }
-    write_json(stage(path), manifest)
-
-
-def _manifest_path(args: argparse.Namespace, default: Path) -> Path:
-    return Path(args.manifest_out) if args.manifest_out else default
+Stage = Callable[[Path], Path]
 
 
 # --- build-trie -------------------------------------------------------------
 
 
-def cmd_build_trie(args: argparse.Namespace) -> int:
+def cmd_build_trie(args: argparse.Namespace, stage: Stage) -> dict[str, str]:
     tok = ByteTokenizer()
     cat = load_catalog(args.entities, args.relations)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats: dict = {}
-    tries: dict[str, tuple[TokenTrie, Sequence[str]]] = {}
     for kind, names in (("entity", cat.entity_names), ("relation", cat.relation_names)):
-        start = time.perf_counter()
         trie = build_trie(enumerate(names), tok)
+        path = stage(out_dir / f"{kind}.trie")
+        save_trie(trie, path, names_digest(enumerate(names)))
         stats[kind] = {
             "names": len(names),
             "nodes": trie.node_count,
             "bytes": trie.approx_bytes(),
-            "build_seconds": time.perf_counter() - start,
+            "sha256": sha256_file(path),
         }
-        tries[kind] = trie, names
-    with _transaction() as stage:
-        for kind, (trie, names) in tries.items():
-            path = stage(out_dir / f"{kind}.trie")
-            save_trie(trie, path, names_digest(enumerate(names)))
-            stats[kind]["sha256"] = sha256_file(path)
-        write_json(stage(out_dir / "stats.json"), stats)
-        _write_manifest(
-            _manifest_path(args, out_dir / "manifest.json"),
-            stage,
-            "build-trie",
-            {"out_dir": str(out_dir)},
-            {"entities": args.entities, "relations": args.relations},
-            args.seed,
-        )
-    return 0
+    write_json(stage(out_dir / "stats.json"), stats)
+    return {"entities": args.entities, "relations": args.relations}
 
 
 # --- decode -----------------------------------------------------------------
@@ -135,14 +100,15 @@ def cmd_build_trie(args: argparse.Namespace) -> int:
 
 def _scorer_factory(
     spec: str, args: argparse.Namespace, cat: Catalog, tok: ByteTokenizer
-) -> Callable[[Document], Scorer]:
-    """Resolve a scorer spec: uniform | random | oracle:FILE | ngram:FILE."""
+) -> tuple[Callable[[Document], Scorer], str | None]:
+    """Resolve a scorer spec: uniform | random | oracle:FILE | ngram:FILE.
+    Returns the per-document scorer and the data file it read, if any."""
     if spec == "uniform":
         scorer = UniformScorer(tok.vocab_size)
-        return lambda doc: scorer
+        return lambda doc: scorer, None
     if spec == "random":
         scorer = RandomScorer(args.seed, tok.vocab_size)
-        return lambda doc: scorer
+        return lambda doc: scorer, None
     kind, sep, path = spec.partition(":")
     if not sep or not path or kind not in ("oracle", "ngram"):
         raise ValueError(
@@ -160,28 +126,28 @@ def _scorer_factory(
                 raise ValueError(f"oracle file has no record for document {doc.doc_id!r}")
             return OracleScorer(target, tok.vocab_size)
 
-        return for_doc
+        return for_doc, path
     corpus = [
         tok.encode(doc.text) + linearize(order_triplets(doc.triplets), cat, tok)
         for doc in docs
     ]
     scorer = train_ngram(corpus, n=args.ngram_order, tokenizer=tok)
-    return lambda doc: scorer
+    return lambda doc: scorer, path
 
 
-def cmd_decode(args: argparse.Namespace) -> int:
+def cmd_decode(args: argparse.Namespace, stage: Stage) -> dict[str, str | Path]:
     tok = ByteTokenizer()
     cat = load_catalog(args.entities, args.relations)
-    if args.tries:
-        tries = tuple(
-            _load_catalog_trie(Path(args.tries) / f"{kind}.trie", kind, names)
-            for kind, names in (("entity", cat.entity_names), ("relation", cat.relation_names))
-        )
-    else:
-        tries = (
-            build_trie(enumerate(cat.entity_names), tok),
-            build_trie(enumerate(cat.relation_names), tok),
-        )
+    inputs: dict[str, str | Path] = {
+        "input": args.input, "entities": args.entities, "relations": args.relations
+    }
+    tries = []
+    for kind, names in (("entity", cat.entity_names), ("relation", cat.relation_names)):
+        if args.tries:
+            path = inputs[f"{kind}_trie"] = Path(args.tries) / f"{kind}.trie"
+            tries.append(_load_catalog_trie(path, kind, names))
+        else:
+            tries.append(build_trie(enumerate(names), tok))
     cfg = DecodeConfig(
         beam_size=args.beam_size,
         max_len=args.max_len,
@@ -190,12 +156,14 @@ def cmd_decode(args: argparse.Namespace) -> int:
         max_triplets=args.max_triplets,
     )
     docs = read_documents(args.input, cat)
-    for_doc = _scorer_factory(args.scorer, args, cat, tok)
+    for_doc, scorer_data = _scorer_factory(args.scorer, args, cat, tok)
+    if scorer_data:
+        inputs["scorer_data"] = scorer_data
 
     def run(doc: Document) -> dict:
         record: dict = {"id": doc.doc_id}
         try:
-            ranked = decode(doc.text, for_doc(doc), cat, tries, cfg, tok)
+            ranked = decode(doc.text, for_doc(doc), cat, tuple(tries), cfg, tok)
         except NoCompleteHypothesis as exc:
             record["candidates"] = []
             record["error"] = str(exc)
@@ -214,26 +182,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
         ]
         return record
 
-    out = Path(args.out)
-    with _transaction() as stage:
-        write_jsonl(stage(out), map(run, docs))
-        _write_manifest(
-            _manifest_path(args, out.with_name(out.name + ".manifest.json")),
-            stage,
-            "decode",
-            {
-                "scorer": args.scorer,
-                "beam_size": args.beam_size,
-                "max_len": args.max_len,
-                "length_alpha": args.length_alpha,
-                "allow_empty_set": not args.no_empty_set,
-                "max_triplets": args.max_triplets,
-                "ngram_order": args.ngram_order,
-            },
-            _decode_inputs(args),
-            args.seed,
-        )
-    return 0
+    write_jsonl(stage(Path(args.out)), map(run, docs))
+    return inputs
 
 
 def _load_catalog_trie(path: Path, kind: str, names: Sequence[str]) -> TokenTrie:
@@ -249,14 +199,6 @@ def _load_catalog_trie(path: Path, kind: str, names: Sequence[str]) -> TokenTrie
     return trie
 
 
-def _decode_inputs(args: argparse.Namespace) -> dict[str, str]:
-    inputs = {"input": args.input, "entities": args.entities, "relations": args.relations}
-    _, sep, path = args.scorer.partition(":")
-    if sep and path:
-        inputs["scorer_data"] = path
-    return inputs
-
-
 # --- evaluate -----------------------------------------------------------------
 
 
@@ -270,10 +212,7 @@ def _eval_pairs(args: argparse.Namespace, cat: Catalog) -> tuple[list[Document],
     ]
     extra = pred_sets.keys() - {doc.doc_id for doc in gold_docs}
     if extra:
-        print(
-            f"warning: {len(extra)} predicted document(s) absent from gold, ignored",
-            file=sys.stderr,
-        )
+        log.warning("%s: %d predicted document(s) absent from gold, ignored", args.pred, len(extra))
     return gold_docs, pairs
 
 
@@ -290,7 +229,7 @@ def _write_bucket_table(path: Path, buckets: Mapping[int, tuple[float, int]]) ->
             fh.write(f"{bucket}\t{low}\t{high}\t{f1:.6f}\t{n_relations}\n")
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace, stage: Stage) -> dict[str, str]:
     if args.bucket_table and not args.counts:
         raise ValueError("--bucket-table needs --counts")
     cat = load_catalog(args.entities, args.relations)
@@ -333,20 +272,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         buckets = bucketed_f1(pairs, read_counts(args.counts, cat))
         inputs["counts"] = args.counts
     out = Path(args.out)
-    with _transaction() as stage:
-        write_json(stage(out), report)
-        if buckets is not None:
-            table = Path(args.bucket_table) if args.bucket_table else out.with_suffix(".buckets.tsv")
-            _write_bucket_table(stage(table), buckets)
-        _write_manifest(
-            _manifest_path(args, out.with_name(out.name + ".manifest.json")),
-            stage,
-            "evaluate",
-            {"macro_mode": args.macro_mode, "bootstrap": args.bootstrap},
-            inputs,
-            args.seed,
-        )
-    return 0
+    write_json(stage(out), report)
+    if buckets is not None:
+        table = Path(args.bucket_table) if args.bucket_table else out.with_suffix(".buckets.tsv")
+        _write_bucket_table(stage(table), buckets)
+    return inputs
 
 
 # --- attribute ----------------------------------------------------------------
@@ -374,9 +304,11 @@ def _implicit_catalog(gold_path: str, pred_path: str) -> Catalog:
     return Catalog(tuple(entity_ids), tuple(relation_ids), entity_ids, relation_ids)
 
 
-def cmd_attribute(args: argparse.Namespace) -> int:
+def cmd_attribute(args: argparse.Namespace, stage: Stage) -> dict[str, str]:
+    inputs = {"gold": args.gold, "pred": args.pred}
     if args.entities and args.relations:
         cat = load_catalog(args.entities, args.relations)
+        inputs.update(entities=args.entities, relations=args.relations)
     else:
         cat = _implicit_catalog(args.gold, args.pred)
     gold_docs, pairs = _eval_pairs(args, cat)
@@ -387,7 +319,6 @@ def cmd_attribute(args: argparse.Namespace) -> int:
         "rc_error": rc,
         "overall_recall_error": recall_error(pairs),
     }
-    inputs = {"gold": args.gold, "pred": args.pred}
     if args.mentions:
         mentions = read_mentions(args.mentions)
         report[f"ner_{args.mode}"] = ner_error(
@@ -396,18 +327,8 @@ def cmd_attribute(args: argparse.Namespace) -> int:
             args.mode,
         )
         inputs["mentions"] = args.mentions
-    out = Path(args.out)
-    with _transaction() as stage:
-        write_json(stage(out), report)
-        _write_manifest(
-            _manifest_path(args, out.with_name(out.name + ".manifest.json")),
-            stage,
-            "attribute",
-            {"mode": args.mode if args.mentions else None},
-            inputs,
-            args.seed,
-        )
-    return 0
+    write_json(stage(Path(args.out)), report)
+    return inputs
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -484,12 +405,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand: it stages its outputs and returns the files it
+    read, and the manifest records them with the flags and the wall time."""
     args = build_parser().parse_args(argv)
+    if args.manifest_out:
+        manifest_path = Path(args.manifest_out)
+    elif args.subcommand == "build-trie":
+        manifest_path = Path(args.out_dir) / "manifest.json"
+    else:
+        out = Path(args.out)
+        manifest_path = out.with_name(out.name + ".manifest.json")
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        with _transaction() as stage:
+            inputs = args.func(args, stage)
+            manifest = {
+                "tool": "factbeam",
+                "version": __version__,
+                "subcommand": args.subcommand,
+                "seed": args.seed,
+                "seconds": time.perf_counter() - start,
+                "config": {k: v for k, v in vars(args).items() if k != "func"},
+                "inputs": {
+                    label: {"path": str(p), "sha256": sha256_file(p)} for label, p in inputs.items()
+                },
+            }
+            write_json(stage(manifest_path), manifest)
     except (ValueError, OSError) as exc:
         print(f"factbeam: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,13 +1,17 @@
 import copy
 import json
+import logging
+import os
 import random
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import factbeam
 from factbeam import (
     ByteTokenizer,
     EvalPair,
@@ -19,7 +23,7 @@ from factbeam import (
     names_digest,
     save_trie,
 )
-from factbeam.cli import main
+from factbeam.cli import build_parser, main
 from factbeam.fileio import read_jsonl, sha256_file, write_jsonl
 from factbeam.metrics import bucketed_f1
 
@@ -87,11 +91,8 @@ def test_build_trie_reproducible(tmp_path, catalog_files):
     ent, rel = catalog_files
     for d in ("a", "b"):
         assert main(["build-trie", "--entities", ent, "--relations", rel, "--out-dir", str(tmp_path / d)]) == 0
-    for name in ("entity.trie", "relation.trie"):
+    for name in ("entity.trie", "relation.trie", "stats.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-    sa = json.loads((tmp_path / "a" / "stats.json").read_text())
-    sb = json.loads((tmp_path / "b" / "stats.json").read_text())
-    assert sa["entity"]["sha256"] == sb["entity"]["sha256"]
 
 
 # --- decode ----------------------------------------------------------------------
@@ -356,6 +357,20 @@ def counts_file(tmp_path):
     path = tmp_path / "counts.tsv"
     path.write_text("capital of\t3\ncrosses\t64\n", encoding="utf-8")
     return str(path)
+
+
+def test_evaluate_warns_of_predictions_absent_from_gold(tmp_path, catalog_files, caplog):
+    ent, rel = catalog_files
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS[:2])
+    pred = docs_file(tmp_path, "pred.jsonl", GOLD_RECORDS)
+    with caplog.at_level(logging.WARNING, logger="factbeam"):
+        assert main(
+            ["evaluate", "--gold", gold, "--pred", pred, "--entities", ent, "--relations", rel,
+             "--out", str(tmp_path / "report.json")]
+        ) == 0
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("factbeam", "WARNING", f"{pred}: 1 predicted document(s) absent from gold, ignored")
+    ]
 
 
 def expected_bucket_rows():
@@ -803,6 +818,79 @@ def test_manifest_out_override(tmp_path, catalog_files):
     record = json.loads(manifest.read_text())
     assert record["seed"] == 7
     assert not (tmp_path / "report.json.manifest.json").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["build-trie", "decode", "evaluate", "attribute"])
+def test_manifest_records_flags_and_inputs(tmp_path, catalog_files, subcommand):
+    """With every optional input given, each file the run read is in
+    `inputs` with its hash, and `config` is the flags as parsed."""
+    ent, rel = catalog_files
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    pred = docs_file(tmp_path, "pred.jsonl", GOLD_RECORDS[:2])
+    train = docs_file(tmp_path, "train.jsonl", GOLD_RECORDS[1:])
+    spanned_triplet = {**GOLD_RECORDS[0]["triplets"][0], "sub_span": [4, 9], "obj_span": [18, 22]}
+    spanned = docs_file(tmp_path, "spanned.jsonl", [{**GOLD_RECORDS[0], "triplets": [spanned_triplet]}])
+    mentions = docs_file(tmp_path, "mentions.jsonl", [{"id": "d1", "spans": [[4, 9]]}])
+    counts = counts_file(tmp_path)
+    tries = tmp_path / "tries"
+    assert main(["build-trie", "--entities", ent, "--relations", rel, "--out-dir", str(tries)]) == 0
+    out = str(tmp_path / "out")
+    rest, read = {
+        "build-trie": (["--out-dir", str(tmp_path / "built")], {}),
+        "decode": (
+            ["--input", gold, "--tries", str(tries), "--scorer", f"ngram:{train}", "-k", "2", "--out", out],
+            {"input": gold, "entity_trie": tries / "entity.trie",
+             "relation_trie": tries / "relation.trie", "scorer_data": train},
+        ),
+        "evaluate": (
+            ["--gold", gold, "--pred", pred, "--counts", counts, "--bucket-table", str(tmp_path / "b.tsv"),
+             "--bootstrap", "5", "--out", out],
+            {"gold": gold, "pred": pred, "counts": counts},
+        ),
+        "attribute": (
+            ["--gold", spanned, "--pred", pred, "--mentions", mentions, "--mode", "partial", "--out", out],
+            {"gold": spanned, "pred": pred, "mentions": mentions},
+        ),
+    }[subcommand]
+    manifest_path = tmp_path / "manifest.json"
+    argv = [subcommand, "--entities", ent, "--relations", rel, *rest,
+            "--seed", "3", "--manifest-out", str(manifest_path)]
+    assert main(argv) == 0
+    manifest = json.loads(manifest_path.read_text())
+    read.update(entities=ent, relations=rel)
+    assert manifest["inputs"] == {
+        label: {"path": str(path), "sha256": sha256_file(path)} for label, path in read.items()
+    }
+    flags = vars(build_parser().parse_args(argv))
+    del flags["func"]
+    assert manifest["config"] == flags
+    assert (manifest["subcommand"], manifest["seed"]) == (subcommand, 3)
+    assert manifest["seconds"] > 0
+
+
+@pytest.mark.parametrize("case", ["bad-catalog-row", "version"])
+def test_cli_as_a_process(tmp_path, case):
+    """`python -m factbeam.cli`: a bad input is one error line and exit 1, no traceback."""
+    src = Path(factbeam.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    ent = tmp_path / "entities.tsv"
+    ent.write_text("0\tParis\n1\tRome\n2\tParis\n", encoding="utf-8")
+    rel = tmp_path / "relations.tsv"
+    rel.write_text(catalog_tsv(RELATIONS), encoding="utf-8")
+    argv = {
+        "bad-catalog-row": ["build-trie", "--entities", str(ent), "--relations", str(rel),
+                            "--out-dir", str(tmp_path / "tries")],
+        "version": ["--version"],
+    }[case]
+    proc = subprocess.run(
+        [sys.executable, "-m", "factbeam.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    if case == "version":
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"factbeam {factbeam.__version__}\n", "")
+    else:
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines() == [f"factbeam: error: {ent}:3: duplicate entity name: 'Paris'"]
+        assert not (tmp_path / "tries").exists()
 
 
 @pytest.mark.skipif(shutil.which("factbeam") is None, reason="console script not on PATH")
