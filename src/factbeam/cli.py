@@ -24,6 +24,7 @@ from .catalog import Catalog, TokenTrie, add_name, build_trie, names_digest
 from .decoder import DecodeConfig, NoCompleteHypothesis, Scorer, decode
 from .fileio import (
     Document,
+    document_from_json,
     load_catalog,
     read_counts,
     read_documents,
@@ -190,6 +191,11 @@ def _load_catalog_trie(path: Path, kind: str, names: Sequence[str]) -> TokenTrie
     trie = load_trie(path)
     if len(trie) != len(names):
         raise ValueError(f"{path}: trie holds {len(trie)} names, the {kind} catalog {len(names)}")
+    if trie.names_sha256 == bytes(32):
+        raise ValueError(
+            f"{path}: trie artifact is unbound (saved without names_sha256); "
+            "write it with factbeam build-trie"
+        )
     if trie.names_sha256 != names_digest(enumerate(names)):
         raise ValueError(f"{path}: trie was built from other {kind} names than the catalog's")
     # the digest covers the names, not the arrays
@@ -202,18 +208,17 @@ def _load_catalog_trie(path: Path, kind: str, names: Sequence[str]) -> TokenTrie
 # --- evaluate -----------------------------------------------------------------
 
 
-def _eval_pairs(args: argparse.Namespace, cat: Catalog) -> tuple[list[Document], list[EvalPair]]:
-    """The gold documents and one (predicted, gold) pair per gold document."""
-    gold_docs = read_documents(args.gold, cat)
-    pred_sets = read_prediction_sets(args.pred, cat)
+def _eval_pairs(gold_docs: list[Document], pred_path: str, cat: Catalog) -> list[EvalPair]:
+    """One (predicted, gold) pair per gold document."""
+    pred_sets = read_prediction_sets(pred_path, cat)
     pairs = [
         EvalPair(doc.doc_id, pred_sets.get(doc.doc_id, frozenset()), doc.triplet_set())
         for doc in gold_docs
     ]
     extra = pred_sets.keys() - {doc.doc_id for doc in gold_docs}
     if extra:
-        log.warning("%s: %d predicted document(s) absent from gold, ignored", args.pred, len(extra))
-    return gold_docs, pairs
+        log.warning("%s: %d predicted document(s) absent from gold, ignored", pred_path, len(extra))
+    return pairs
 
 
 def _prf_json(prf: PRF) -> dict:
@@ -233,7 +238,7 @@ def cmd_evaluate(args: argparse.Namespace, stage: Stage) -> dict[str, str]:
     if args.bucket_table and not args.counts:
         raise ValueError("--bucket-table needs --counts")
     cat = load_catalog(args.entities, args.relations)
-    _, pairs = _eval_pairs(args, cat)
+    pairs = _eval_pairs(read_documents(args.gold, cat), args.pred, cat)
     scores = score_report(pairs, cat, args.macro_mode)
     report: dict = {
         "n_documents": len(pairs),
@@ -250,7 +255,9 @@ def cmd_evaluate(args: argparse.Namespace, stage: Stage) -> dict[str, str]:
             for rel, s in scores.per_relation.items()
         },
     }
-    if args.bootstrap and pairs:
+    if args.bootstrap and not pairs:
+        log.warning("%s: no gold documents, bootstrap skipped", args.gold)
+    elif args.bootstrap:
         report["bootstrap"] = {
             "B": args.bootstrap,
             "level": 0.95,
@@ -290,7 +297,7 @@ def _implicit_catalog(gold_path: str, pred_path: str) -> Catalog:
     """
     ids: dict[str, dict[str, int]] = {"entity": {}, "relation": {}}
 
-    def collect(record: dict) -> None:
+    def collect(doc_id: str, record: dict) -> None:
         for triplets in triplet_lists(record):
             for obj in triplets:
                 for key, kind in (("sub", "entity"), ("obj", "entity"), ("rel", "relation")):
@@ -304,14 +311,32 @@ def _implicit_catalog(gold_path: str, pred_path: str) -> Catalog:
     return Catalog(tuple(entity_ids), tuple(relation_ids), entity_ids, relation_ids)
 
 
+def _spanned_documents(path: str, cat: Catalog) -> list[Document]:
+    """Gold documents for `attribute --mentions`: a triplet with neither
+    mention span is refused at its record's line, named by its names."""
+
+    def parse(doc_id: str, record: dict) -> Document:
+        doc = document_from_json(record, cat, doc_id)
+        for obj in record.get("triplets", []):
+            if obj.get("sub_span") is None and obj.get("obj_span") is None:
+                names = obj["sub"], obj["rel"], obj["obj"]
+                raise ValueError(f"doc {doc_id!r}: gold triplet {names} carries no mention spans")
+        return doc
+
+    return list(read_jsonl(path, parse).values())
+
+
 def cmd_attribute(args: argparse.Namespace, stage: Stage) -> dict[str, str]:
+    if bool(args.entities) != bool(args.relations):
+        raise ValueError("--entities and --relations go together")
     inputs = {"gold": args.gold, "pred": args.pred}
-    if args.entities and args.relations:
+    if args.entities:
         cat = load_catalog(args.entities, args.relations)
         inputs.update(entities=args.entities, relations=args.relations)
     else:
         cat = _implicit_catalog(args.gold, args.pred)
-    gold_docs, pairs = _eval_pairs(args, cat)
+    gold_docs = (_spanned_documents if args.mentions else read_documents)(args.gold, cat)
+    pairs = _eval_pairs(gold_docs, args.pred, cat)
     nel, rc = nel_rc_errors(pairs)
     report: dict = {
         "n_gold_triplets": sum(len(p.gold) for p in pairs),

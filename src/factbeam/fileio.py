@@ -13,7 +13,7 @@ import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .linearize import MentionedTriplet, Triplet
 from .tokens import NUM_SPECIAL
 
 log = logging.getLogger("factbeam")
+T = TypeVar("T")
 
 TRIE_MAGIC = b"FBTRIE02"  # bump the trailing digits on format changes
 _TRIE_HEADER = struct.Struct("<q32s")  # node count, catalog.names_digest of the names
@@ -187,23 +188,6 @@ def triplet_to_json(mt: MentionedTriplet, cat: Catalog) -> dict:
     return out
 
 
-def _unique_ids() -> Callable[[dict], str]:
-    """Record check: every record carries an "id", and no id repeats.
-    The check returns the id as a string."""
-    seen: set[str] = set()
-
-    def check(record: dict) -> str:
-        if record.get("id") is None:
-            raise ValueError('record has no "id"')
-        doc_id = str(record["id"])
-        if doc_id in seen:
-            raise ValueError(f"duplicate id {doc_id!r}")
-        seen.add(doc_id)
-        return doc_id
-
-    return check
-
-
 def _triplet_objects(raw, field: str) -> list:
     if not isinstance(raw, list) or not all(isinstance(obj, dict) for obj in raw):
         raise ValueError(f'"{field}" must be a list of triplet objects')
@@ -226,19 +210,17 @@ def triplet_lists(record: dict) -> list[list]:
     return [_triplet_objects(c["triplets"], "candidates[].triplets") for c in ranked]
 
 
+def document_from_json(record: dict, cat: Catalog, doc_id: str) -> Document:
+    text = record.get("input", "")
+    if not isinstance(text, str):
+        raise ValueError('"input" must be a string')
+    raw = _triplet_objects(record.get("triplets", []), "triplets")
+    return Document(doc_id, text, tuple(triplet_from_json(obj, cat, doc_id) for obj in raw))
+
+
 def read_documents(path: str | Path, cat: Catalog) -> list[Document]:
-    unique_id = _unique_ids()
-
-    def parse(record: dict) -> Document:
-        doc_id = unique_id(record)
-        text = record.get("input", "")
-        if not isinstance(text, str):
-            raise ValueError('"input" must be a string')
-        raw = _triplet_objects(record.get("triplets", []), "triplets")
-        triplets = tuple(triplet_from_json(obj, cat, doc_id) for obj in raw)
-        return Document(doc_id, text, triplets)
-
-    return read_jsonl(path, parse)
+    records = read_jsonl(path, lambda doc_id, record: document_from_json(record, cat, doc_id))
+    return list(records.values())
 
 
 def read_prediction_sets(path: str | Path, cat: Catalog) -> dict[str, frozenset[Triplet]]:
@@ -247,40 +229,37 @@ def read_prediction_sets(path: str | Path, cat: Catalog) -> dict[str, frozenset[
     Accepts decoder output (records with ranked "candidates") as well as
     plain dataset records (a bare "triplets" list).
     """
-    unique_id = _unique_ids()
 
-    def parse(record: dict) -> tuple[str, frozenset[Triplet]]:
-        doc_id = unique_id(record)
+    def parse(doc_id: str, record: dict) -> frozenset[Triplet]:
         lists = triplet_lists(record)
         raw = lists[0] if lists else []
-        return doc_id, frozenset(triplet_from_json(obj, cat, doc_id).triplet for obj in raw)
+        return frozenset(triplet_from_json(obj, cat, doc_id).triplet for obj in raw)
 
-    return dict(read_jsonl(path, parse))
+    return read_jsonl(path, parse)
 
 
 def read_mentions(path: str | Path) -> dict[str, list[tuple[int, int]]]:
     """Predicted mention spans per document: {"id", "spans": [[s, e], ...]}."""
-    unique_id = _unique_ids()
 
-    def parse(record: dict) -> tuple[str, list[tuple[int, int]]]:
-        doc_id = unique_id(record)
+    def parse(doc_id: str, record: dict) -> list[tuple[int, int]]:
         raw = record.get("spans", [])
         if not isinstance(raw, list):
             raise ValueError('"spans" must be a list of [start, end] pairs')
         spans = [_span(s, doc_id) for s in raw]
-        return doc_id, [s for s in spans if s is not None]
+        return [s for s in spans if s is not None]
 
-    return dict(read_jsonl(path, parse))
+    return read_jsonl(path, parse)
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict], object] | None = None) -> list:
-    """One JSON object per non-blank line.
+def read_jsonl(path: str | Path, parse: Callable[[str, dict], T]) -> dict[str, T]:
+    """One JSON object per non-blank line, each with an "id" unique in
+    its file: `parse(id, record)` of each record, keyed by id in file
+    order, the id as a string.
 
-    `parse`, when given, turns each record into the item returned in its
-    place and raises ValueError for a bad one; the error is reported
-    with the record's file:line.
+    The one place the id rule is checked. A ValueError that parse raises
+    for a bad record is reported with the record's file:line.
     """
-    out: list = []
+    out: dict[str, T] = {}
 
     def record(line: str) -> None:
         line = line.strip()
@@ -294,7 +273,12 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], object] | None = None) 
             raise ValueError("invalid JSON: nested too deeply") from None
         if not isinstance(obj, dict):
             raise ValueError("expected a JSON object")
-        out.append(obj if parse is None else parse(obj))
+        if obj.get("id") is None:
+            raise ValueError('record has no "id"')
+        doc_id = str(obj["id"])
+        if doc_id in out:
+            raise ValueError(f"duplicate id {doc_id!r}")
+        out[doc_id] = parse(doc_id, obj)
 
     _read_lines(path, record)
     return out

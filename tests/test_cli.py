@@ -65,6 +65,16 @@ GOLD_RECORDS = [
     {"id": "d3", "input": "Nothing extractable here.", "triplets": []},
 ]
 
+# GOLD_RECORDS with a subject span on every triplet, as `attribute --mentions` needs
+SPANNED_GOLD_RECORDS = [
+    {**r, "triplets": [{**t, "sub_span": [0, 1]} for t in r["triplets"]]} for r in GOLD_RECORDS
+]
+
+
+def read_records(path):
+    """The records of a JSONL file keyed by id."""
+    return read_jsonl(path, lambda doc_id, record: record)
+
 
 # --- build-trie ------------------------------------------------------------------
 
@@ -114,7 +124,7 @@ def test_decode_oracle_recovers_gold(tmp_path, catalog_files):
         tmp_path, catalog_files, gold, ["--scorer", f"oracle:{gold}", "-k", "3"]
     )
     assert rc == 0
-    by_id = {r["id"]: r for r in read_jsonl(out)}
+    by_id = read_records(out)
     for record in GOLD_RECORDS:
         top = min(by_id[record["id"]]["candidates"], key=lambda c: c["rank"])
         got = {(t["sub"], t["rel"], t["obj"]) for t in top["triplets"]}
@@ -129,7 +139,7 @@ def test_decode_empty_input(tmp_path, catalog_files):
     gold = docs_file(tmp_path, "empty.jsonl", [])
     rc, out = run_decode(tmp_path, catalog_files, gold, ["--scorer", "uniform"])
     assert rc == 0
-    assert read_jsonl(out) == []
+    assert read_records(out) == {}
 
 
 def test_decode_with_prebuilt_tries_matches(tmp_path, catalog_files):
@@ -184,6 +194,22 @@ def test_decode_tries_from_other_catalog(tmp_path, catalog_files, capsys):
     )
 
 
+def test_decode_tries_unbound(tmp_path, catalog_files, capsys):
+    """An artifact saved from Python without names_sha256 is refused as
+    unbound, not as built from other names."""
+    tries = tmp_path / "tries"
+    tries.mkdir()
+    for kind, names in (("entity", ENTITIES), ("relation", RELATIONS)):
+        save_trie(build_trie(enumerate(names), ByteTokenizer()), tries / f"{kind}.trie")
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    rc, out = run_decode(tmp_path, catalog_files, gold, ["--tries", str(tries), "--scorer", "uniform"])
+    assert_clean_failure(
+        rc, capsys, out,
+        f"{tries / 'entity.trie'}: trie artifact is unbound (saved without names_sha256); "
+        "write it with factbeam build-trie",
+    )
+
+
 def test_decode_tries_name_count_differs(tmp_path, catalog_files, capsys):
     ent, rel = catalog_files
     other = tmp_path / "other_entities.tsv"
@@ -235,7 +261,7 @@ def test_decode_missing_input_defaults_to_empty(tmp_path, catalog_files):
     docs = docs_file(tmp_path, "docs.jsonl", [{"id": "a"}])
     rc, out = run_decode(tmp_path, catalog_files, docs, ["--scorer", f"ngram:{docs}"])
     assert rc == 0
-    assert [r["id"] for r in read_jsonl(out)] == ["a"]
+    assert list(read_records(out)) == ["a"]
 
 
 DEEP = "[" * 100_000 + "]" * 100_000
@@ -371,6 +397,21 @@ def test_evaluate_warns_of_predictions_absent_from_gold(tmp_path, catalog_files,
     assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
         ("factbeam", "WARNING", f"{pred}: 1 predicted document(s) absent from gold, ignored")
     ]
+
+
+def test_evaluate_bootstrap_without_gold_documents_warns(tmp_path, catalog_files, caplog):
+    ent, rel = catalog_files
+    gold = docs_file(tmp_path, "gold.jsonl", [])
+    out = tmp_path / "report.json"
+    with caplog.at_level(logging.WARNING, logger="factbeam"):
+        assert main(
+            ["evaluate", "--gold", gold, "--pred", gold, "--entities", ent, "--relations", rel,
+             "--bootstrap", "20", "--out", str(out)]
+        ) == 0
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("factbeam", "WARNING", f"{gold}: no gold documents, bootstrap skipped")
+    ]
+    assert "bootstrap" not in json.loads(out.read_text())
 
 
 def expected_bucket_rows():
@@ -517,6 +558,30 @@ def test_attribute_with_mentions(tmp_path, catalog_files):
     assert report["ner_exact"] == 0.0
 
 
+@pytest.mark.parametrize("given", ["--entities", "--relations"])
+def test_attribute_catalog_flags_go_together(tmp_path, capsys, given):
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    out = tmp_path / "attr.json"
+    rc = main(["attribute", "--gold", gold, "--pred", gold, given, str(tmp_path / "nope.tsv"), "--out", str(out)])
+    assert_clean_failure(rc, capsys, out, "--entities and --relations go together")
+
+
+@pytest.mark.parametrize("catalog", [True, False])
+def test_attribute_mentions_refuses_gold_without_spans(tmp_path, catalog_files, capsys, catalog):
+    gold = docs_file(tmp_path, "gold.jsonl", [SPANNED_GOLD_RECORDS[0], *GOLD_RECORDS[1:]])
+    mentions = docs_file(tmp_path, "mentions.jsonl", [{"id": "d1", "spans": [[0, 1]]}])
+    ent, rel = catalog_files
+    out = tmp_path / "attr.json"
+    rc = main(
+        ["attribute", "--gold", gold, "--pred", gold, "--mentions", mentions, "--out", str(out)]
+        + (["--entities", ent, "--relations", rel] if catalog else [])
+    )
+    assert_clean_failure(
+        rc, capsys, out,
+        f"{gold}:2: doc 'd2': gold triplet ('Paris', 'capital of', 'Rome') carries no mention spans",
+    )
+
+
 # --- failure handling ----------------------------------------------------------------
 
 
@@ -530,7 +595,11 @@ def test_missing_input_file_exit_code(tmp_path, catalog_files, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["gold", "pred", "mentions"])
+@pytest.mark.parametrize(
+    "kind",
+    ["gold", "pred", "mentions", "decode:input", "decode:oracle", "decode:ngram",
+     "evaluate:gold", "evaluate:pred", "implicit:gold", "implicit:pred"],
+)
 @pytest.mark.parametrize(
     "defect, record, message",
     [
@@ -539,20 +608,32 @@ def test_missing_input_file_exit_code(tmp_path, catalog_files, capsys):
     ],
 )
 def test_duplicate_or_missing_id(tmp_path, catalog_files, capsys, kind, defect, record, message):
+    """Every JSONL input refuses a repeated or missing id at its line:
+    gold, pred and mentions under `attribute` with catalog files, the
+    `decode` input and scorer data, `evaluate`'s gold and pred, and
+    `attribute`'s implicit-catalog pre-pass over gold and pred."""
     ent, rel = catalog_files
     files = {
-        "gold": docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS),
+        "gold": docs_file(tmp_path, "gold.jsonl", SPANNED_GOLD_RECORDS),
         "pred": docs_file(tmp_path, "pred.jsonl", GOLD_RECORDS),
         "mentions": docs_file(tmp_path, "mentions.jsonl", [{"id": "d1", "spans": []}]),
     }
-    bad = tmp_path / f"{kind}.jsonl"
+    command, _, name = kind.rpartition(":")
+    # decode reads the pred file as its input and the gold file as scorer data
+    bad = Path(files[{"input": "pred", "oracle": "gold", "ngram": "gold"}.get(name, name)])
     bad.write_text(bad.read_text(encoding="utf-8") + "\n" + json.dumps(record) + "\n", encoding="utf-8")
     line = len(bad.read_text(encoding="utf-8").splitlines())
+    gold, pred = files["gold"], files["pred"]
+    catalog = ["--entities", ent, "--relations", rel]
+    scorer = {"input": "uniform", "oracle": f"oracle:{gold}", "ngram": f"ngram:{gold}"}.get(name)
+    argv = {
+        "": ["attribute", "--gold", gold, "--pred", pred, *catalog, "--mentions", files["mentions"]],
+        "decode": ["decode", "--input", pred, *catalog, "--scorer", scorer],
+        "evaluate": ["evaluate", "--gold", gold, "--pred", pred, *catalog],
+        "implicit": ["attribute", "--gold", gold, "--pred", pred],
+    }[command]
     out = tmp_path / "attr.json"
-    rc = main(
-        ["attribute", "--gold", files["gold"], "--pred", files["pred"], "--entities", ent,
-         "--relations", rel, "--mentions", files["mentions"], "--out", str(out)]
-    )
+    rc = main(argv + ["--out", str(out)])
     assert_clean_failure(rc, capsys, out, f"{bad}:{line}: {message}")
 
 
@@ -737,7 +818,7 @@ def test_decode_failing_document_keeps_previous_output(tmp_path, catalog_files, 
 
 def test_attribute_bad_spans_value(tmp_path, catalog_files, capsys):
     ent, rel = catalog_files
-    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    gold = docs_file(tmp_path, "gold.jsonl", SPANNED_GOLD_RECORDS)
     mentions = docs_file(tmp_path, "mentions.jsonl", [{"id": "d1", "spans": None}])
     out = tmp_path / "attr.json"
     rc = main(
@@ -751,7 +832,7 @@ def test_attribute_bad_spans_value(tmp_path, catalog_files, capsys):
 
 def test_attribute_overflowing_span(tmp_path, catalog_files, capsys):
     ent, rel = catalog_files
-    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    gold = docs_file(tmp_path, "gold.jsonl", SPANNED_GOLD_RECORDS)
     mentions = tmp_path / "mentions.jsonl"
     mentions.write_text('{"id": "d1", "spans": [[0, Infinity]]}\n', encoding="utf-8")
     out = tmp_path / "attr.json"
@@ -976,6 +1057,7 @@ def test_cli_survives_mutated_inputs(tmp_path, capsys):
         ],
     )
     mentions = docs_file(tmp_path, "mentions.jsonl", [{"id": "d1", "spans": [[4, 9], [18, 22]]}])
+    spanned = docs_file(tmp_path, "spanned.jsonl", SPANNED_GOLD_RECORDS)  # never damaged
     counts = tmp_path / "counts.tsv"
     counts.write_text("capital of\t3\ncrosses\t64\n", encoding="utf-8")
     inputs = {
@@ -992,6 +1074,8 @@ def test_cli_survives_mutated_inputs(tmp_path, capsys):
          "--bootstrap", "20", "--out", out],
         ["attribute", "--gold", gold, "--pred", pred, *catalog, "--mentions", mentions, "--out", out],
         ["attribute", "--gold", gold, "--pred", pred, "--mentions", mentions, "--out", out],
+        # gold lacks mention spans, so only a run on spanned gold reads pred and mentions with --mentions
+        ["attribute", "--gold", spanned, "--pred", pred, *catalog, "--mentions", mentions, "--out", out],
     ]
     rng = random.Random(23)
     pristine = {path: path.read_bytes() for path in inputs}

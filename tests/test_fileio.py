@@ -263,15 +263,30 @@ def test_read_mentions_bad_spans_value(tmp_path, spans):
 
 def test_read_jsonl_skips_blank_lines(tmp_path):
     path = tmp_path / "x.jsonl"
-    path.write_text('{"a": 1}\n\n{"b": 2}\n', encoding="utf-8")
-    assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
+    path.write_text('{"id": "b", "n": 1}\n\n{"id": 7, "n": 2}\n', encoding="utf-8")
+    got = read_jsonl(path, lambda doc_id, record: (doc_id, record["n"]))
+    # keyed by the id as a string, in file order
+    assert list(got.items()) == [("b", ("b", 1)), ("7", ("7", 2))]
 
 
 def test_read_jsonl_invalid_line(tmp_path):
     path = tmp_path / "x.jsonl"
-    path.write_text('{"a": 1}\nnot json\n', encoding="utf-8")
+    path.write_text('{"id": "a"}\nnot json\n', encoding="utf-8")
     with pytest.raises(ValueError, match=":2"):
-        read_jsonl(path)
+        read_jsonl(path, lambda doc_id, record: record)
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [('{"id": "a"}', "duplicate id 'a'"), ('{"id": null}', 'record has no "id"'), ("{}", 'record has no "id"')],
+)
+def test_read_jsonl_refuses_duplicate_or_missing_id(tmp_path, second, message):
+    path = tmp_path / "x.jsonl"
+    path.write_text('{"id": "a"}\n' + second + "\n", encoding="utf-8")
+    parsed = []
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+        read_jsonl(path, lambda doc_id, record: parsed.append(doc_id))
+    assert parsed == ["a"]  # the bad record never reaches parse
 
 
 # --- trie artifact -----------------------------------------------------------------
