@@ -16,7 +16,7 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .attribution import match, nel_rc_errors
-from .catalog import Catalog, TokenTrie, build_catalog, build_trie, names_digest
+from .catalog import Catalog, TokenTrie, build_catalog, build_trie
 from .decoder import DecodeConfig, InvalidScores, Scorer, decode
 from .fileio import load_catalog, load_trie, read_documents, read_prediction_sets, save_trie
 from .linearize import Triplet, linearize, order_triplets, parse
@@ -26,7 +26,7 @@ from .tokens import GRAMMAR, ByteTokenizer, Tokenizer
 
 __all__ = [
     "match", "nel_rc_errors",
-    "Catalog", "TokenTrie", "build_catalog", "build_trie", "names_digest",
+    "Catalog", "TokenTrie", "build_catalog", "build_trie",
     "DecodeConfig", "InvalidScores", "Scorer", "decode",
     "load_catalog", "load_trie", "read_documents", "read_prediction_sets", "save_trie",
     "Triplet", "linearize", "order_triplets", "parse",

@@ -9,7 +9,6 @@ concurrent decoders.
 
 from __future__ import annotations
 
-import hashlib
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -99,21 +98,21 @@ class TokenTrie:
     order, so the child along edge e is node e + 1. Node i's edges are
     tokens[offsets[i]:offsets[i + 1]] (ascending); terminal[i] is the
     catalog id of the name ending at node i, or -1; all three arrays are
-    int32. Node 0 is the root. names_sha256 is the names_digest of the
-    names the trie is bound to, all zero when unbound. These are the
-    FBTRIE02 artifact's contents, the arrays held as memoryviews so that
-    every element read is a plain Python int.
+    int32. Node 0 is the root. catalog_sha256 is the SHA-256 of the
+    catalog file the trie was built from, all zero for a trie built in
+    process. These are the FBTRIE03 artifact's contents, the arrays held
+    as memoryviews so that every element read is a plain Python int.
     """
 
-    __slots__ = ("offsets", "tokens", "terminal", "names_sha256", "_names")
+    __slots__ = ("offsets", "tokens", "terminal", "catalog_sha256", "_names")
 
     ROOT = 0
 
-    def __init__(self, offsets, tokens, terminal, names_sha256: bytes = bytes(32)):
+    def __init__(self, offsets, tokens, terminal, catalog_sha256: bytes = bytes(32)):
         self.offsets, self.tokens, self.terminal = (
             memoryview(np.asarray(a, np.int32)).toreadonly() for a in (offsets, tokens, terminal)
         )
-        self.names_sha256 = bytes(names_sha256)
+        self.catalog_sha256 = bytes(catalog_sha256)
         self._names = int(np.count_nonzero(np.asarray(terminal) >= 0))
 
     @property
@@ -146,13 +145,6 @@ class TokenTrie:
         return sum(a.nbytes for a in (self.offsets, self.tokens, self.terminal))
 
 
-def names_digest(names_with_ids: Iterable[tuple[int, str]]) -> bytes:
-    """SHA-256 of the (id, name) pairs sorted by id, as UTF-8
-    "<id>\\t<name>\\n" lines: what binds a trie to its catalog."""
-    lines = "".join(f"{catalog_id}\t{name}\n" for catalog_id, name in sorted(names_with_ids))
-    return hashlib.sha256(lines.encode("utf-8")).digest()
-
-
 def build_trie(names_with_ids: Iterable[tuple[int, str]], tok: Tokenizer) -> TokenTrie:
     """Index every (id, name) pair; names must tokenize uniquely.
 
@@ -161,8 +153,7 @@ def build_trie(names_with_ids: Iterable[tuple[int, str]], tok: Tokenizer) -> Tok
     insertion order. The trie grows one depth at a time: the names still
     live at depth d are sorted by (node, token), and each distinct pair
     opens a node, so the nodes come out in level order. Time and memory
-    grow with the total token count. The trie is unbound (names_sha256
-    all zero): build-trie passes the digest to save_trie.
+    grow with the total token count.
     """
     pairs = list(names_with_ids)
     flat, lengths = array("i"), array("q")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .attribution import ner_error, nel_rc_errors, recall_error
-from .catalog import Catalog, TokenTrie, add_name, build_trie, names_digest
+from .catalog import Catalog, TokenTrie, add_name, build_trie
 from .decoder import DecodeConfig, NoCompleteHypothesis, Scorer, decode
 from .fileio import (
     Document,
@@ -41,7 +41,7 @@ from .fileio import (
     write_jsonl,
 )
 from .linearize import MentionedTriplet, linearize, order_triplets
-from .metrics import EvalPair, PRF, bootstrap_ci, bucketed_f1, macro_scores, micro_scores, score_report
+from .metrics import EvalPair, bootstrap_ci, bucketed_f1, macro_scores, micro_scores, score_report
 from .scorers import OracleScorer, RandomScorer, UniformScorer, train_ngram
 from .tokens import ByteTokenizer
 
@@ -57,7 +57,17 @@ def _transaction():
     def stage(path: Path) -> Path:
         if any(path.resolve() == target.resolve() for _, target in staged):
             raise ValueError(f"{path}: named for two outputs")
-        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        prefix = f".{path.name}."
+        for old in path.parent.glob(".*.tmp"):  # delete those that killed runs left
+            pid = old.name[len(prefix) : -len(".tmp")]
+            try:
+                if old.name.startswith(prefix) and pid.isascii() and pid.isdigit():
+                    os.kill(int(pid), 0)
+            except ProcessLookupError:
+                old.unlink(missing_ok=True)
+            except (PermissionError, OverflowError):  # another user's run, or not a pid
+                pass
+        temp = path.with_name(f"{prefix}{os.getpid()}.tmp")
         staged.append((temp, path))
         return temp
 
@@ -82,10 +92,12 @@ def cmd_build_trie(args: argparse.Namespace, stage: Stage) -> dict[str, str]:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stats: dict = {}
-    for kind, names in (("entity", cat.entity_names), ("relation", cat.relation_names)):
+    for kind, names, catalog in (
+        ("entity", cat.entity_names, args.entities), ("relation", cat.relation_names, args.relations)
+    ):
         trie = build_trie(enumerate(names), tok)
         path = stage(out_dir / f"{kind}.trie")
-        save_trie(trie, path, names_digest(enumerate(names)))
+        save_trie(trie, path, bytes.fromhex(sha256_file(catalog)))
         stats[kind] = {
             "names": len(names),
             "nodes": trie.node_count,
@@ -143,10 +155,12 @@ def cmd_decode(args: argparse.Namespace, stage: Stage) -> dict[str, str | Path]:
         "input": args.input, "entities": args.entities, "relations": args.relations
     }
     tries = []
-    for kind, names in (("entity", cat.entity_names), ("relation", cat.relation_names)):
+    for kind, names, catalog in (
+        ("entity", cat.entity_names, args.entities), ("relation", cat.relation_names, args.relations)
+    ):
         if args.tries:
             path = inputs[f"{kind}_trie"] = Path(args.tries) / f"{kind}.trie"
-            tries.append(_load_catalog_trie(path, kind, names))
+            tries.append(_load_catalog_trie(path, kind, names, catalog))
         else:
             tries.append(build_trie(enumerate(names), tok))
     cfg = DecodeConfig(
@@ -187,18 +201,15 @@ def cmd_decode(args: argparse.Namespace, stage: Stage) -> dict[str, str | Path]:
     return inputs
 
 
-def _load_catalog_trie(path: Path, kind: str, names: Sequence[str]) -> TokenTrie:
+def _load_catalog_trie(path: Path, kind: str, names: Sequence[str], catalog: str) -> TokenTrie:
     trie = load_trie(path)
     if len(trie) != len(names):
         raise ValueError(f"{path}: trie holds {len(trie)} names, the {kind} catalog {len(names)}")
-    if trie.names_sha256 == bytes(32):
+    if trie.catalog_sha256 != bytes.fromhex(sha256_file(catalog)):  # all zero when saved in process
         raise ValueError(
-            f"{path}: trie artifact is unbound (saved without names_sha256); "
-            "write it with factbeam build-trie"
+            f"{path}: not built by factbeam build-trie from {catalog}; rebuild it with factbeam build-trie"
         )
-    if trie.names_sha256 != names_digest(enumerate(names)):
-        raise ValueError(f"{path}: trie was built from other {kind} names than the catalog's")
-    # the digest covers the names, not the arrays
+    # the digest covers the catalog file, not the arrays
     top = int(np.max(trie.tokens, initial=-1))
     if top >= ByteTokenizer.vocab_size:
         raise ValueError(f"{path}: edge token {top} outside the tokenizer's {ByteTokenizer.vocab_size} ids")
@@ -221,8 +232,8 @@ def _eval_pairs(gold_docs: list[Document], pred_path: str, cat: Catalog) -> list
     return pairs
 
 
-def _prf_json(prf: PRF) -> dict:
-    return {"p": prf.p, "r": prf.r, "f1": prf.f1, "flags": sorted(prf.flags)}
+def _prf_json(score) -> dict:  # a PRF, or a RelationScore less its support
+    return {"p": score.p, "r": score.r, "f1": score.f1, "flags": sorted(score.flags)}
 
 
 def _write_bucket_table(path: Path, buckets: Mapping[int, tuple[float, int]]) -> None:
@@ -245,13 +256,7 @@ def cmd_evaluate(args: argparse.Namespace, stage: Stage) -> dict[str, str]:
         "micro": _prf_json(scores.micro),
         "macro": _prf_json(scores.macro),
         "per_relation": {
-            cat.relation_name(rel): {
-                "p": s.p,
-                "r": s.r,
-                "f1": s.f1,
-                "support": s.support,
-                "flags": sorted(s.flags),
-            }
+            cat.relation_name(rel): {**_prf_json(s), "support": s.support}
             for rel, s in scores.per_relation.items()
         },
     }

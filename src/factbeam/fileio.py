@@ -24,8 +24,8 @@ from .tokens import NUM_SPECIAL
 log = logging.getLogger("factbeam")
 T = TypeVar("T")
 
-TRIE_MAGIC = b"FBTRIE02"  # bump the trailing digits on format changes
-_TRIE_HEADER = struct.Struct("<q32s")  # node count, catalog.names_digest of the names
+TRIE_MAGIC = b"FBTRIE03"  # bump the trailing digits on format changes
+_TRIE_HEADER = struct.Struct("<q32s")  # node count, SHA-256 of the catalog file
 
 
 class TrieFormatError(ValueError):
@@ -252,9 +252,9 @@ def read_mentions(path: str | Path) -> dict[str, list[tuple[int, int]]]:
 
 
 def read_jsonl(path: str | Path, parse: Callable[[str, dict], T]) -> dict[str, T]:
-    """One JSON object per non-blank line, each with an "id" unique in
-    its file: `parse(id, record)` of each record, keyed by id in file
-    order, the id as a string.
+    """One JSON object per non-blank line, each with an "id" (a string
+    or an integer) unique in its file: `parse(id, record)` of each
+    record, keyed by id in file order, the id as a string.
 
     The one place the id rule is checked. A ValueError that parse raises
     for a bad record is reported with the record's file:line.
@@ -273,9 +273,13 @@ def read_jsonl(path: str | Path, parse: Callable[[str, dict], T]) -> dict[str, T
             raise ValueError("invalid JSON: nested too deeply") from None
         if not isinstance(obj, dict):
             raise ValueError("expected a JSON object")
-        if obj.get("id") is None:
-            raise ValueError('record has no "id"')
-        doc_id = str(obj["id"])
+        doc_id = obj.get("id")
+        if type(doc_id) is not str:  # the one type test a string id costs
+            if doc_id is None:
+                raise ValueError('record has no "id"')
+            if type(doc_id) is not int:  # type(), not isinstance: a bool is not an id
+                raise ValueError('"id" must be a string or an integer')
+            doc_id = str(doc_id)
         if doc_id in out:
             raise ValueError(f"duplicate id {doc_id!r}")
         out[doc_id] = parse(doc_id, obj)
@@ -300,16 +304,15 @@ def write_json(path: str | Path, obj) -> None:
 # --- binary trie artifact ---------------------------------------------------
 
 
-def save_trie(trie: TokenTrie, path: str | Path, names_sha256: bytes | None = None) -> None:
+def save_trie(trie: TokenTrie, path: str | Path, catalog_sha256: bytes | None = None) -> None:
     """Write a byte-deterministic artifact: same trie, same bytes.
 
-    names_sha256 (default: the trie's own) is the catalog.names_digest
-    that binds the artifact to the names it was built from.
+    catalog_sha256 (default: the trie's own) is the SHA-256 of the
+    catalog file that binds the artifact to the names it was built from.
     """
-    digest = trie.names_sha256 if names_sha256 is None else names_sha256
     with open(path, "wb") as fh:
         fh.write(TRIE_MAGIC)
-        fh.write(_TRIE_HEADER.pack(trie.node_count, digest))
+        fh.write(_TRIE_HEADER.pack(trie.node_count, catalog_sha256 or trie.catalog_sha256))
         for arr in (trie.offsets, trie.terminal, trie.tokens):
             fh.write(arr)
 

@@ -20,7 +20,6 @@ from factbeam import (
     build_catalog,
     build_trie,
     load_trie,
-    names_digest,
     save_trie,
 )
 from factbeam.cli import build_parser, main
@@ -81,20 +80,25 @@ def read_records(path):
 
 def test_build_trie_outputs(tmp_path, catalog_files):
     ent, rel = catalog_files
+    # rows out of id order, so the file's bytes are not its sorted (id, name) lines
+    rows = catalog_tsv(ENTITIES).splitlines(keepends=True)
+    Path(ent).write_text("".join(reversed(rows)), encoding="utf-8")
     out = tmp_path / "tries"
     assert main(["build-trie", "--entities", ent, "--relations", rel, "--out-dir", str(out)]) == 0
     stats = json.loads((out / "stats.json").read_text())
     assert stats["entity"]["names"] == len(ENTITIES)
     assert stats["relation"]["names"] == len(RELATIONS)
-    tok = ByteTokenizer()
-    for kind, names in (("entity", ENTITIES), ("relation", RELATIONS)):
-        built = build_trie(enumerate(names), tok)
-        bound = TokenTrie(built.offsets, built.tokens, built.terminal, names_digest(enumerate(names)))
-        assert load_trie(out / f"{kind}.trie") == bound
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tool"] == "factbeam"
     assert manifest["subcommand"] == "build-trie"
     assert manifest["inputs"]["entities"]["sha256"] == sha256_file(ent)
+    tok = ByteTokenizer()
+    for kind, label, names in (("entity", "entities", ENTITIES), ("relation", "relations", RELATIONS)):
+        # the header binds each trie to the catalog file bytes the manifest records
+        digest = bytes.fromhex(manifest["inputs"][label]["sha256"])
+        built = build_trie(enumerate(names), tok)
+        bound = TokenTrie(built.offsets, built.tokens, built.terminal, digest)
+        assert load_trie(out / f"{kind}.trie") == bound
 
 
 def test_build_trie_reproducible(tmp_path, catalog_files):
@@ -176,6 +180,10 @@ def assert_clean_failure(rc, capsys, out, message):
     assert not out.exists()
 
 
+def not_built_from(trie, catalog):
+    return f"{trie}: not built by factbeam build-trie from {catalog}; rebuild it with factbeam build-trie"
+
+
 def test_decode_tries_from_other_catalog(tmp_path, catalog_files, capsys):
     ent, rel = catalog_files
     other = tmp_path / "other_entities.tsv"
@@ -188,25 +196,47 @@ def test_decode_tries_from_other_catalog(tmp_path, catalog_files, capsys):
         tmp_path, catalog_files, docs,
         ["--tries", str(tries), "--scorer", "uniform", "--no-empty-set"],
     )
-    assert_clean_failure(
-        rc, capsys, out,
-        f"{tries / 'entity.trie'}: trie was built from other entity names than the catalog's",
-    )
+    assert_clean_failure(rc, capsys, out, not_built_from(tries / "entity.trie", ent))
 
 
 def test_decode_tries_unbound(tmp_path, catalog_files, capsys):
-    """An artifact saved from Python without names_sha256 is refused as
-    unbound, not as built from other names."""
+    """An artifact saved from Python carries an all-zero digest, which
+    no catalog file matches."""
+    ent, rel = catalog_files
     tries = tmp_path / "tries"
     tries.mkdir()
     for kind, names in (("entity", ENTITIES), ("relation", RELATIONS)):
         save_trie(build_trie(enumerate(names), ByteTokenizer()), tries / f"{kind}.trie")
     gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
     rc, out = run_decode(tmp_path, catalog_files, gold, ["--tries", str(tries), "--scorer", "uniform"])
+    assert_clean_failure(rc, capsys, out, not_built_from(tries / "entity.trie", ent))
+
+
+def test_decode_tries_catalog_rows_reordered(tmp_path, catalog_files, capsys):
+    """The binding is the catalog file's bytes: the same (id, name) rows
+    in another order are another catalog file."""
+    ent, rel = catalog_files
+    tries = tmp_path / "tries"
+    assert main(["build-trie", "--entities", ent, "--relations", rel, "--out-dir", str(tries)]) == 0
+    rows = Path(rel).read_text(encoding="utf-8").splitlines(keepends=True)
+    Path(rel).write_text("".join(reversed(rows)), encoding="utf-8")
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    rc, out = run_decode(tmp_path, catalog_files, gold, ["--tries", str(tries), "--scorer", "uniform"])
+    assert_clean_failure(rc, capsys, out, not_built_from(tries / "relation.trie", rel))
+
+
+def test_decode_tries_previous_format(tmp_path, catalog_files, capsys):
+    """An FBTRIE02 artifact (its header held a digest of the names) is
+    refused as another version, whatever its digest."""
+    ent, rel = catalog_files
+    tries = tmp_path / "tries"
+    assert main(["build-trie", "--entities", ent, "--relations", rel, "--out-dir", str(tries)]) == 0
+    path = tries / "entity.trie"
+    path.write_bytes(b"FBTRIE02" + path.read_bytes()[8:])
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    rc, out = run_decode(tmp_path, catalog_files, gold, ["--tries", str(tries), "--scorer", "uniform"])
     assert_clean_failure(
-        rc, capsys, out,
-        f"{tries / 'entity.trie'}: trie artifact is unbound (saved without names_sha256); "
-        "write it with factbeam build-trie",
+        rc, capsys, out, f"{path}: not a trie artifact of this tool version (expected header b'FBTRIE03')"
     )
 
 
@@ -234,7 +264,7 @@ def test_decode_tries_token_outside_vocabulary(tmp_path, catalog_files, capsys, 
     trie = load_trie(path)
     tokens = np.array(trie.tokens)
     tokens[-1] = token  # the last edge is its node's only one, so the order check passes
-    save_trie(TokenTrie(trie.offsets, tokens, trie.terminal, trie.names_sha256), path)
+    save_trie(TokenTrie(trie.offsets, tokens, trie.terminal, trie.catalog_sha256), path)
     gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
     rc, out = run_decode(tmp_path, catalog_files, gold, ["--tries", str(tries), "--scorer", "uniform"])
     assert_clean_failure(rc, capsys, out, f"{path}: edge token {token} outside the tokenizer's 261 ids")
@@ -605,10 +635,11 @@ def test_missing_input_file_exit_code(tmp_path, catalog_files, capsys):
     [
         ("duplicate", {"id": "d1"}, "duplicate id 'd1'"),
         ("missing", {"input": "no id"}, 'record has no "id"'),
+        ("not a string", {"id": True}, '"id" must be a string or an integer'),
     ],
 )
 def test_duplicate_or_missing_id(tmp_path, catalog_files, capsys, kind, defect, record, message):
-    """Every JSONL input refuses a repeated or missing id at its line:
+    """Every JSONL input refuses a repeated, missing or mistyped id at its line:
     gold, pred and mentions under `attribute` with catalog files, the
     `decode` input and scorer data, `evaluate`'s gold and pred, and
     `attribute`'s implicit-catalog pre-pass over gold and pred."""
@@ -814,6 +845,26 @@ def test_decode_failing_document_keeps_previous_output(tmp_path, catalog_files, 
     assert "factbeam: error: oracle file has no record for document 'd2'" in err
     assert out.read_bytes() == b'{"previous": "predictions"}\n'
     assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("name", ["pred.jsonl", "pred[1]*.jsonl"])
+def test_run_removes_temps_of_killed_runs(tmp_path, catalog_files, name):
+    """Staging an output deletes the temp files beside it whose process
+    is gone, as a run killed before its cleanup leaves them; a temp of a
+    running process, or one not named by a pid, stays."""
+    ent, rel = catalog_files
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped, so no process has its pid
+    dead, running, not_pid = (tmp_path / f".{name}.{pid}.tmp" for pid in (child.pid, os.getppid(), "x1"))
+    for temp in (dead, running, not_pid):
+        temp.write_bytes(b"partial output")
+    out = tmp_path / name
+    assert main(["decode", "--input", gold, "--entities", ent, "--relations", rel,
+                 "--scorer", "uniform", "--out", str(out)]) == 0
+    assert out.exists()
+    assert not dead.exists()
+    assert running.exists() and not_pid.exists()
 
 
 def test_attribute_bad_spans_value(tmp_path, catalog_files, capsys):

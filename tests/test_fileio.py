@@ -17,7 +17,6 @@ from factbeam import (
     build_trie,
     load_catalog,
     load_trie,
-    names_digest,
     read_documents,
     read_prediction_sets,
     save_trie,
@@ -278,7 +277,15 @@ def test_read_jsonl_invalid_line(tmp_path):
 
 @pytest.mark.parametrize(
     "second, message",
-    [('{"id": "a"}', "duplicate id 'a'"), ('{"id": null}', 'record has no "id"'), ("{}", 'record has no "id"')],
+    [
+        ('{"id": "a"}', "duplicate id 'a'"),
+        ('{"id": null}', 'record has no "id"'),
+        ("{}", 'record has no "id"'),
+        ('{"id": true}', '"id" must be a string or an integer'),
+        ('{"id": [1]}', '"id" must be a string or an integer'),
+        ('{"id": 1.5}', '"id" must be a string or an integer'),
+        ('{"id": {"a": 1}}', '"id" must be a string or an integer'),
+    ],
 )
 def test_read_jsonl_refuses_duplicate_or_missing_id(tmp_path, second, message):
     path = tmp_path / "x.jsonl"
@@ -385,7 +392,7 @@ def test_trie_corrupt_arrays(tmp_path, mutate, match):
     arrays = {f: np.array(getattr(trie, f)) for f in ("offsets", "tokens", "terminal")}
     mutate(arrays)
     path = tmp_path / "corrupt.trie"
-    save_trie(TokenTrie(**arrays, names_sha256=trie.names_sha256), path)
+    save_trie(TokenTrie(**arrays, catalog_sha256=trie.catalog_sha256), path)
     with pytest.raises(TrieFormatError, match=match):
         load_trie(path)
 
@@ -405,18 +412,16 @@ def test_trie_bad_header_counts(tmp_path, delta_nodes, match):
         load_trie(path)
 
 
-def test_trie_header_carries_names_digest(tmp_path):
-    pairs = [(1, "Rome"), (0, "Paris")]
+def test_trie_header_carries_catalog_digest(tmp_path):
     path = tmp_path / "e.trie"
-    trie = build_trie(pairs, TOK)
-    assert trie.names_sha256 == bytes(32)  # in-process builds are unbound
-    save_trie(trie, path, names_digest(pairs))
-    digest = hashlib.sha256("0\tParis\n1\tRome\n".encode("utf-8")).digest()
+    trie = build_trie([(1, "Rome"), (0, "Paris")], TOK)
+    assert trie.catalog_sha256 == bytes(32)  # in-process builds carry no catalog digest
+    digest = hashlib.sha256(b"any catalog file").digest()
+    save_trie(trie, path, digest)
     assert path.read_bytes()[len(TRIE_MAGIC) + 8 : len(TRIE_MAGIC) + 40] == digest
     loaded = load_trie(path)
-    assert loaded.names_sha256 == digest == names_digest(pairs)
-    assert names_digest([(0, "Rome"), (1, "Paris")]) != digest
-    save_trie(loaded, path)  # a bound trie keeps its digest
+    assert loaded.catalog_sha256 == digest
+    save_trie(loaded, path)  # a loaded trie keeps its digest
     assert load_trie(path) == loaded
 
 
