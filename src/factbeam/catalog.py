@@ -40,7 +40,8 @@ class Catalog:
 
     Ids are 0..N-1 in each class. The name -> id maps are the inverse of
     the name tuples; build_catalog and load_catalog fill both in the
-    pass that checks the names.
+    pass that checks the names. (`attribute` without catalog files gives
+    no names and maps that number each name when it is first looked up.)
     """
 
     entity_names: tuple[str, ...]

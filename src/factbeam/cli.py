@@ -35,7 +35,6 @@ from .fileio import (
     load_trie,
     log,
     sha256_file,
-    triplet_lists,
     triplet_to_json,
     write_json,
     write_jsonl,
@@ -294,26 +293,16 @@ def cmd_evaluate(args: argparse.Namespace, stage: Stage) -> dict[str, str]:
 # --- attribute ----------------------------------------------------------------
 
 
-def _implicit_catalog(gold_path: str, pred_path: str) -> Catalog:
-    """Catalog built from every name in the gold and prediction files.
+class _Numbering(dict):
+    """One class's name -> id map for `attribute` without catalog files: a
+    name gets the next id, or is refused if blank, when first looked up."""
 
-    Attribution compares triplets by identity only, so any consistent
-    name -> id assignment works when no catalog files are given.
-    """
-    ids: dict[str, dict[str, int]] = {"entity": {}, "relation": {}}
+    def __init__(self, kind: str) -> None:  # no dict.__init__ call: the map starts empty
+        self.kind = kind
 
-    def collect(doc_id: str, record: dict) -> None:
-        for triplets in triplet_lists(record):
-            for obj in triplets:
-                for key, kind in (("sub", "entity"), ("obj", "entity"), ("rel", "relation")):
-                    name = str(obj.get(key))
-                    if name not in ids[kind]:
-                        add_name(ids[kind], name, kind, len(ids[kind]))
-
-    for path in (gold_path, pred_path):
-        read_jsonl(path, collect)
-    entity_ids, relation_ids = ids["entity"], ids["relation"]
-    return Catalog(tuple(entity_ids), tuple(relation_ids), entity_ids, relation_ids)
+    def __missing__(self, name: str) -> int:
+        add_name(self, name, self.kind, len(self))
+        return len(self) - 1
 
 
 def _spanned_documents(path: str, cat: Catalog) -> list[Document]:
@@ -338,8 +327,8 @@ def cmd_attribute(args: argparse.Namespace, stage: Stage) -> dict[str, str]:
     if args.entities:
         cat = load_catalog(args.entities, args.relations)
         inputs.update(entities=args.entities, relations=args.relations)
-    else:
-        cat = _implicit_catalog(args.gold, args.pred)
+    else:  # attribution reads ids only, never names back from the catalog
+        cat = Catalog((), (), _Numbering("entity"), _Numbering("relation"))
     gold_docs = (_spanned_documents if args.mentions else read_documents)(args.gold, cat)
     pairs = _eval_pairs(gold_docs, args.pred, cat)
     nel, rc = nel_rc_errors(pairs)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +27,8 @@ T = TypeVar("T")
 
 TRIE_MAGIC = b"FBTRIE03"  # bump the trailing digits on format changes
 _TRIE_HEADER = struct.Struct("<q32s")  # node count, SHA-256 of the catalog file
+# what a JSON escape such as "\\udc80" can put in a string and no UTF-8 output can hold
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class TrieFormatError(ValueError):
@@ -163,10 +166,10 @@ def triplet_from_json(obj: Mapping, cat: Catalog, doc_id: str) -> MentionedTripl
         name = obj.get(key)
         if not isinstance(name, str):
             raise ValueError(f"doc {doc_id!r}: triplet missing {key!r}")
-        ident = table.get(name)
-        if ident is None:
-            raise ValueError(f"doc {doc_id!r}: {kind} {name!r} not in catalog")
-        names.append(ident)
+        try:  # a subscript, not get(): a map may number a name it has not seen
+            names.append(table[name])
+        except KeyError:
+            raise ValueError(f"doc {doc_id!r}: {kind} {name!r} not in catalog") from None
     return MentionedTriplet(
         Triplet(names[0], names[1], names[2]),
         _span(obj.get("sub_span"), doc_id),
@@ -214,6 +217,8 @@ def document_from_json(record: dict, cat: Catalog, doc_id: str) -> Document:
     text = record.get("input", "")
     if not isinstance(text, str):
         raise ValueError('"input" must be a string')
+    if not text.isascii() and (bad := _LONE_SURROGATE.search(text)):
+        raise ValueError(f'"input" holds the lone surrogate {bad.group()!r}')
     raw = _triplet_objects(record.get("triplets", []), "triplets")
     return Document(doc_id, text, tuple(triplet_from_json(obj, cat, doc_id) for obj in raw))
 
@@ -280,6 +285,8 @@ def read_jsonl(path: str | Path, parse: Callable[[str, dict], T]) -> dict[str, T
             if type(doc_id) is not int:  # type(), not isinstance: a bool is not an id
                 raise ValueError('"id" must be a string or an integer')
             doc_id = str(doc_id)
+        elif not doc_id.isascii() and (bad := _LONE_SURROGATE.search(doc_id)):
+            raise ValueError(f'"id" holds the lone surrogate {bad.group()!r}')
         if doc_id in out:
             raise ValueError(f"duplicate id {doc_id!r}")
         out[doc_id] = parse(doc_id, obj)

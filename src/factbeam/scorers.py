@@ -135,9 +135,12 @@ class NGramScorer:
             raise ValueError("order must be >= 1")
         self.n = n
         self.tokenizer = tokenizer
-        self.vocab_size = tokenizer.vocab_size
-        if (self.vocab_size + 1) ** (n - 1) * self.vocab_size > np.iinfo(np.int64).max:
-            raise ValueError(f"order {n} is too high for a {self.vocab_size}-token vocabulary")
+        self.vocab_size = V = tokenizer.vocab_size
+        top, size = 1, V  # the highest order whose V * (V + 1) ** (top - 1) packed windows fit an int64
+        while top < n and size <= np.iinfo(np.int64).max // (V + 1):
+            top, size = top + 1, size * (V + 1)
+        if top < n:
+            raise ValueError(f"order {n} is too high for a {V}-token vocabulary: at most {top}")
         self._count(sequences)
 
     def _count(self, sequences: Sequence[Sequence[int]]) -> None:

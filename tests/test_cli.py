@@ -277,14 +277,21 @@ def test_decode_non_object_line(tmp_path, catalog_files, capsys):
     assert_clean_failure(rc, capsys, out, f"{docs}:2: expected a JSON object")
 
 
-@pytest.mark.parametrize("bad_file, scorer", [("input", "uniform"), ("input", "ngram"), ("scorer", "ngram")])
-def test_decode_non_string_input(tmp_path, catalog_files, capsys, bad_file, scorer):
+@pytest.mark.parametrize(
+    "text, message",
+    [(5, '"input" must be a string'), ("x\ud800y", """"input" holds the lone surrogate '\\ud800'""")],
+)
+@pytest.mark.parametrize(
+    "bad_file, scorer", [("input", "uniform"), ("input", "random"), ("input", "ngram"), ("scorer", "ngram")]
+)
+def test_decode_non_string_input(tmp_path, catalog_files, capsys, bad_file, scorer, text, message):
     good = docs_file(tmp_path, "good.jsonl", GOLD_RECORDS)
-    bad = docs_file(tmp_path, "bad.jsonl", [GOLD_RECORDS[0], {"id": "a", "input": 5}])
-    docs, scorer_data = (bad, good) if bad_file == "input" else (good, bad)
-    spec = "uniform" if scorer == "uniform" else f"ngram:{scorer_data}"
+    bad = tmp_path / "bad.jsonl"  # json.dumps escapes the surrogate that write_jsonl cannot write
+    bad.write_text(f'{json.dumps(GOLD_RECORDS[0])}\n{json.dumps({"id": "a", "input": text})}\n', encoding="utf-8")
+    docs, scorer_data = (str(bad), good) if bad_file == "input" else (good, bad)
+    spec = f"ngram:{scorer_data}" if scorer == "ngram" else scorer
     rc, out = run_decode(tmp_path, catalog_files, docs, ["--scorer", spec])
-    assert_clean_failure(rc, capsys, out, f'{bad}:2: "input" must be a string')
+    assert_clean_failure(rc, capsys, out, f"{bad}:2: {message}")
 
 
 def test_decode_missing_input_defaults_to_empty(tmp_path, catalog_files):
@@ -560,6 +567,43 @@ def test_attribute_without_catalog_files(tmp_path):
     assert report["rc_error"] == 0.0
 
 
+def attribute_reports(tmp_path, gold, pred, catalog):
+    """`attribute`'s report without catalog files and with `catalog`'s."""
+    reports = []
+    for flags in ([], ["--entities", catalog[0], "--relations", catalog[1]]):
+        out = tmp_path / "attr.json"
+        assert main(["attribute", "--gold", gold, "--pred", pred, *flags, "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    return reports
+
+
+def test_attribute_ids_follow_first_appearance(tmp_path):
+    """Without catalog files a name's id is its order of first appearance
+    (gold, then each prediction's rank-1 set; sub before obj), and ids
+    matter: greedy matching breaks weight ties by id."""
+    ent, rel = tmp_path / "ent.tsv", tmp_path / "rel.tsv"
+    ent.write_text(catalog_tsv(list("ABQWYX")), encoding="utf-8")
+    rel.write_text(catalog_tsv(list("rst")), encoding="utf-8")
+    t = lambda sub, rel, obj: {"sub": sub, "rel": rel, "obj": obj}
+    gold = docs_file(tmp_path, "gold.jsonl", [{"id": "d", "triplets": [t("A", "r", "B"), t("Q", "s", "W")]}])
+    # first appearance numbers X 4 and Y 5, the catalog Y 4 and X 5
+    pred = docs_file(tmp_path, "pred.jsonl", [{"id": "d", "triplets": [t("X", "s", "B"), t("Y", "t", "B")]}])
+    implicit, catalog = attribute_reports(tmp_path, gold, pred, (str(ent), str(rel)))
+    common = {"n_gold_triplets": 2, "nel_error": 1.0, "overall_recall_error": 1.0}
+    assert implicit == {**common, "rc_error": 1.0}
+    assert catalog == {**common, "rc_error": 0.5}
+
+
+def test_attribute_without_catalog_reads_gold_triplets(tmp_path, catalog_files):
+    """A gold record is read by its "triplets" even when it also has
+    "candidates", with catalog files or without them."""
+    tiber = GOLD_RECORDS[0]["triplets"]
+    gold = docs_file(tmp_path, "gold_c.jsonl", [{**GOLD_RECORDS[1], "candidates": [{"rank": 1, "triplets": tiber}]}])
+    pred = docs_file(tmp_path, "pred.jsonl", [{"id": "d2", "triplets": tiber}])
+    implicit, catalog = attribute_reports(tmp_path, gold, pred, catalog_files)
+    assert implicit == catalog and implicit["n_gold_triplets"] == 2
+
+
 def test_attribute_with_mentions(tmp_path, catalog_files):
     ent, rel = catalog_files
     gold = docs_file(
@@ -636,13 +680,15 @@ def test_missing_input_file_exit_code(tmp_path, catalog_files, capsys):
         ("duplicate", {"id": "d1"}, "duplicate id 'd1'"),
         ("missing", {"input": "no id"}, 'record has no "id"'),
         ("not a string", {"id": True}, '"id" must be a string or an integer'),
+        ("lone surrogate", {"id": "d\udc80"}, """"id" holds the lone surrogate '\\udc80'"""),
     ],
 )
 def test_duplicate_or_missing_id(tmp_path, catalog_files, capsys, kind, defect, record, message):
-    """Every JSONL input refuses a repeated, missing or mistyped id at its line:
-    gold, pred and mentions under `attribute` with catalog files, the
-    `decode` input and scorer data, `evaluate`'s gold and pred, and
-    `attribute`'s implicit-catalog pre-pass over gold and pred."""
+    """Every JSONL input refuses a repeated, missing or mistyped id, or one
+    no UTF-8 output could hold, at its line: gold, pred and mentions under
+    `attribute` with catalog files, the `decode` input and scorer data,
+    `evaluate`'s gold and pred, and `attribute`'s gold and pred without
+    catalog files."""
     ent, rel = catalog_files
     files = {
         "gold": docs_file(tmp_path, "gold.jsonl", SPANNED_GOLD_RECORDS),
@@ -998,6 +1044,51 @@ def test_manifest_records_flags_and_inputs(tmp_path, catalog_files, subcommand):
     assert manifest["config"] == flags
     assert (manifest["subcommand"], manifest["seed"]) == (subcommand, 3)
     assert manifest["seconds"] > 0
+
+
+@pytest.mark.parametrize(
+    "case", ["build-trie", "decode-oracle", "decode-ngram", "evaluate", "attribute", "attribute-implicit"]
+)
+def test_each_text_input_parsed_once(tmp_path, catalog_files, monkeypatch, case):
+    """With every optional input given as its own file, a run hands each
+    text input it reads to the one line reader exactly once."""
+    ent, rel = catalog_files
+    gold = docs_file(tmp_path, "gold.jsonl", SPANNED_GOLD_RECORDS)
+    pred = docs_file(tmp_path, "pred.jsonl", GOLD_RECORDS[:2])
+    scorer_data = docs_file(tmp_path, "scorer.jsonl", GOLD_RECORDS)
+    mentions = docs_file(tmp_path, "mentions.jsonl", [{"id": "d1", "spans": [[4, 9]]}])
+    counts = counts_file(tmp_path)
+    tries = tmp_path / "tries"
+    assert main(["build-trie", "--entities", ent, "--relations", rel, "--out-dir", str(tries)]) == 0
+    catalog = ["--entities", ent, "--relations", rel]
+    out = ["--out", str(tmp_path / "out")]
+    decode = ["decode", "--input", pred, *catalog, "--tries", str(tries), "-k", "2", *out]
+    argv, expected = {
+        "build-trie": (["build-trie", *catalog, "--out-dir", str(tmp_path / "built")], [ent, rel]),
+        "decode-oracle": ([*decode, "--scorer", f"oracle:{scorer_data}"], [pred, ent, rel, scorer_data]),
+        "decode-ngram": ([*decode, "--scorer", f"ngram:{scorer_data}"], [pred, ent, rel, scorer_data]),
+        "evaluate": (
+            ["evaluate", "--gold", gold, "--pred", pred, *catalog, "--counts", counts, *out],
+            [gold, pred, ent, rel, counts],
+        ),
+        "attribute": (
+            ["attribute", "--gold", gold, "--pred", pred, *catalog, "--mentions", mentions, *out],
+            [gold, pred, ent, rel, mentions],
+        ),
+        "attribute-implicit": (
+            ["attribute", "--gold", gold, "--pred", pred, "--mentions", mentions, *out], [gold, pred, mentions]
+        ),
+    }[case]
+    parsed = []
+    read_lines = factbeam.fileio._read_lines
+
+    def recording(path, parse_line):
+        parsed.append(Path(path).resolve())
+        return read_lines(path, parse_line)
+
+    monkeypatch.setattr(factbeam.fileio, "_read_lines", recording)
+    assert main(argv) == 0
+    assert sorted(parsed) == sorted(Path(path).resolve() for path in expected)
 
 
 @pytest.mark.parametrize("case", ["bad-catalog-row", "version"])

@@ -285,6 +285,7 @@ def test_read_jsonl_invalid_line(tmp_path):
         ('{"id": [1]}', '"id" must be a string or an integer'),
         ('{"id": 1.5}', '"id" must be a string or an integer'),
         ('{"id": {"a": 1}}', '"id" must be a string or an integer'),
+        ('{"id": "a\\udc80"}', """"id" holds the lone surrogate '\\udc80'"""),
     ],
 )
 def test_read_jsonl_refuses_duplicate_or_missing_id(tmp_path, second, message):

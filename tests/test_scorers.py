@@ -157,8 +157,11 @@ def test_ngram_rejects_empty_corpus_and_bad_order():
         train_ngram([], n=2)
     with pytest.raises(ValueError):
         NGramScorer(0, TOK)
-    with pytest.raises(ValueError, match="too high"):
-        NGramScorer(8, TOK)  # 4-token byte histories and the next token overflow int64
+    # 7-token byte histories and the next token overflow int64; the bound is
+    # found without computing 262 ** (n - 1)
+    for n in (8, 10**6):
+        with pytest.raises(ValueError, match=f"order {n} is too high for a 261-token vocabulary: at most 7$"):
+            NGramScorer(n, TOK)
     for bad in (999, -1):
         with pytest.raises(ValueError, match=f"token {bad} outside vocabulary"):
             train_ngram([[10, 11], [12, bad, 13]], n=2, tokenizer=TOK)
