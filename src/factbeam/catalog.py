@@ -99,21 +99,18 @@ class TokenTrie:
     order, so the child along edge e is node e + 1. Node i's edges are
     tokens[offsets[i]:offsets[i + 1]] (ascending); terminal[i] is the
     catalog id of the name ending at node i, or -1; all three arrays are
-    int32. Node 0 is the root. catalog_sha256 is the SHA-256 of the
-    catalog file the trie was built from, all zero for a trie built in
-    process. These are the FBTRIE03 artifact's contents, the arrays held
-    as memoryviews so that every element read is a plain Python int.
+    int32. Node 0 is the root. These are the FBTRIE03 artifact's arrays,
+    held as memoryviews so that every element read is a plain Python int.
     """
 
-    __slots__ = ("offsets", "tokens", "terminal", "catalog_sha256", "_names")
+    __slots__ = ("offsets", "tokens", "terminal", "_names")
 
     ROOT = 0
 
-    def __init__(self, offsets, tokens, terminal, catalog_sha256: bytes = bytes(32)):
+    def __init__(self, offsets, tokens, terminal):
         self.offsets, self.tokens, self.terminal = (
             memoryview(np.asarray(a, np.int32)).toreadonly() for a in (offsets, tokens, terminal)
         )
-        self.catalog_sha256 = bytes(catalog_sha256)
         self._names = int(np.count_nonzero(np.asarray(terminal) >= 0))
 
     @property

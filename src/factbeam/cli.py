@@ -20,12 +20,13 @@ import numpy as np
 
 from . import __version__
 from .attribution import ner_error, nel_rc_errors, recall_error
-from .catalog import Catalog, TokenTrie, add_name, build_trie
-from .decoder import DecodeConfig, NoCompleteHypothesis, Scorer, decode
+from .catalog import Catalog, TokenTrie, build_trie
+from .decoder import DecodeConfig, InvalidSequence, NoCompleteHypothesis, Scorer, decode
 from .fileio import (
     Document,
     document_from_json,
     load_catalog,
+    prediction_record,
     read_counts,
     read_documents,
     read_jsonl,
@@ -35,12 +36,13 @@ from .fileio import (
     load_trie,
     log,
     sha256_file,
-    triplet_to_json,
     write_json,
     write_jsonl,
 )
-from .linearize import MentionedTriplet, linearize, order_triplets
-from .metrics import EvalPair, bootstrap_ci, bucketed_f1, macro_scores, micro_scores, score_report
+from .linearize import linearize, order_triplets
+from .metrics import (
+    BOOTSTRAP_LEVEL, EvalPair, bootstrap_ci, bucket_range, bucketed_f1, macro_scores, micro_scores, score_report
+)
 from .scorers import OracleScorer, RandomScorer, UniformScorer, train_ngram
 from .tokens import ByteTokenizer
 
@@ -96,7 +98,7 @@ def cmd_build_trie(args: argparse.Namespace, stage: Stage) -> dict[str, str]:
     ):
         trie = build_trie(enumerate(names), tok)
         path = stage(out_dir / f"{kind}.trie")
-        save_trie(trie, path, bytes.fromhex(sha256_file(catalog)))
+        save_trie(trie, path, catalog)
         stats[kind] = {
             "names": len(names),
             "nodes": trie.node_count,
@@ -135,7 +137,7 @@ def _scorer_factory(
         def for_doc(doc: Document) -> Scorer:
             target = targets.get(doc.doc_id)
             if target is None:
-                raise ValueError(f"oracle file has no record for document {doc.doc_id!r}")
+                raise ValueError(f"{path}: no record for document {doc.doc_id!r}")
             return OracleScorer(target, tok.vocab_size)
 
         return for_doc, path
@@ -175,40 +177,22 @@ def cmd_decode(args: argparse.Namespace, stage: Stage) -> dict[str, str | Path]:
         inputs["scorer_data"] = scorer_data
 
     def run(doc: Document) -> dict:
-        record: dict = {"id": doc.doc_id}
         try:
             ranked = decode(doc.text, for_doc(doc), cat, tuple(tries), cfg, tok)
         except NoCompleteHypothesis as exc:
-            record["candidates"] = []
-            record["error"] = str(exc)
-            return record
-        record["candidates"] = [
-            {
-                "rank": rank,
-                "log_prob": lp,
-                # decoded sets are order-free; emit in id order for stable files
-                "triplets": [
-                    triplet_to_json(MentionedTriplet(t), cat)
-                    for t in sorted(ts)
-                ],
-            }
-            for rank, (ts, lp) in enumerate(ranked, 1)
-        ]
-        return record
+            return prediction_record(doc.doc_id, [], cat, str(exc))
+        except InvalidSequence as exc:  # only --tries arrays can spell a name the catalog lacks
+            raise ValueError(f"{args.tries}: {exc}") from None
+        return prediction_record(doc.doc_id, ranked, cat)
 
     write_jsonl(stage(Path(args.out)), map(run, docs))
     return inputs
 
 
 def _load_catalog_trie(path: Path, kind: str, names: Sequence[str], catalog: str) -> TokenTrie:
-    trie = load_trie(path)
+    trie = load_trie(path, catalog)
     if len(trie) != len(names):
         raise ValueError(f"{path}: trie holds {len(trie)} names, the {kind} catalog {len(names)}")
-    if trie.catalog_sha256 != bytes.fromhex(sha256_file(catalog)):  # all zero when saved in process
-        raise ValueError(
-            f"{path}: not built by factbeam build-trie from {catalog}; rebuild it with factbeam build-trie"
-        )
-    # the digest covers the catalog file, not the arrays
     top = int(np.max(trie.tokens, initial=-1))
     if top >= ByteTokenizer.vocab_size:
         raise ValueError(f"{path}: edge token {top} outside the tokenizer's {ByteTokenizer.vocab_size} ids")
@@ -240,7 +224,7 @@ def _write_bucket_table(path: Path, buckets: Mapping[int, tuple[float, int]]) ->
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("bucket\tcount_low\tcount_high\tf1\tn_relations\n")
         for bucket, (f1, n_relations) in sorted(buckets.items()):
-            low, high = (2**bucket, 2 ** (bucket + 1) - 1) if bucket >= 0 else (0, 0)
+            low, high = bucket_range(bucket)
             fh.write(f"{bucket}\t{low}\t{high}\t{f1:.6f}\t{n_relations}\n")
 
 
@@ -264,7 +248,7 @@ def cmd_evaluate(args: argparse.Namespace, stage: Stage) -> dict[str, str]:
     elif args.bootstrap:
         report["bootstrap"] = {
             "B": args.bootstrap,
-            "level": 0.95,
+            "level": BOOTSTRAP_LEVEL,
             "micro_f1": list(
                 bootstrap_ci(pairs, lambda ps: micro_scores(ps).f1, args.bootstrap, seed=args.seed)
             ),
@@ -295,14 +279,12 @@ def cmd_evaluate(args: argparse.Namespace, stage: Stage) -> dict[str, str]:
 
 class _Numbering(dict):
     """One class's name -> id map for `attribute` without catalog files: a
-    name gets the next id, or is refused if blank, when first looked up."""
-
-    def __init__(self, kind: str) -> None:  # no dict.__init__ call: the map starts empty
-        self.kind = kind
+    name gets the next id when first looked up (`triplet_from_json` has
+    refused a blank one by then)."""
 
     def __missing__(self, name: str) -> int:
-        add_name(self, name, self.kind, len(self))
-        return len(self) - 1
+        self[name] = len(self)
+        return self[name]
 
 
 def _spanned_documents(path: str, cat: Catalog) -> list[Document]:
@@ -328,7 +310,7 @@ def cmd_attribute(args: argparse.Namespace, stage: Stage) -> dict[str, str]:
         cat = load_catalog(args.entities, args.relations)
         inputs.update(entities=args.entities, relations=args.relations)
     else:  # attribution reads ids only, never names back from the catalog
-        cat = Catalog((), (), _Numbering("entity"), _Numbering("relation"))
+        cat = Catalog((), (), _Numbering(), _Numbering())
     gold_docs = (_spanned_documents if args.mentions else read_documents)(args.gold, cat)
     pairs = _eval_pairs(gold_docs, args.pred, cat)
     nel, rc = nel_rc_errors(pairs)
@@ -387,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="uniform | random | oracle:FILE | ngram:FILE",
     )
     p.add_argument("-k", "--beam-size", type=int, default=10)
-    p.add_argument("--max-len", type=int, default=256)
-    p.add_argument("--length-alpha", type=float, default=0.0)
+    p.add_argument("--max-len", type=int, default=DecodeConfig.max_len)
+    p.add_argument("--length-alpha", type=float, default=DecodeConfig.length_alpha)
     p.add_argument("--max-triplets", type=int, default=None)
     p.add_argument("--no-empty-set", action="store_true", help="forbid the empty prediction")
     p.add_argument("--ngram-order", type=int, default=3)

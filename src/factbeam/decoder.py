@@ -22,7 +22,7 @@ import numpy as np
 
 from .catalog import Catalog, TokenTrie
 from .linearize import Triplet, parse
-from .tokens import EOS, ET, GRAMMAR, NUM_SPECIAL, SUB, ByteTokenizer, Tokenizer
+from .tokens import EOS, ET, GRAMMAR, NUM_SPECIAL, SUB, Tokenizer
 
 
 class Scorer(Protocol):
@@ -253,7 +253,7 @@ def decode(
     cat: Catalog,
     tries: tuple[TokenTrie, TokenTrie],
     cfg: DecodeConfig,
-    tok: Tokenizer | None = None,
+    tok: Tokenizer,
 ) -> list[tuple[frozenset[Triplet], float]]:
     """Top-k catalog-valid triplet sets for `text` under `scorer`.
 
@@ -264,8 +264,6 @@ def decode(
     (score descending), so duplicate sets may appear when distinct
     sequences linearize the same set.
     """
-    if tok is None:
-        tok = ByteTokenizer()
     results: list[tuple[frozenset[Triplet], float]] = []
     for h in beam_search(text, scorer, tries, cfg):
         parsed = parse(h.tokens, cat, tok)

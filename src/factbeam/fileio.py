@@ -166,7 +166,9 @@ def triplet_from_json(obj: Mapping, cat: Catalog, doc_id: str) -> MentionedTripl
         name = obj.get(key)
         if not isinstance(name, str):
             raise ValueError(f"doc {doc_id!r}: triplet missing {key!r}")
-        try:  # a subscript, not get(): a map may number a name it has not seen
+        if not name.strip():  # before the lookup: a map may number a name it has not seen
+            raise ValueError(f"doc {doc_id!r}: triplet {key!r} is a blank {kind} name")
+        try:  # a subscript, not get(), for that map
             names.append(table[name])
         except KeyError:
             raise ValueError(f"doc {doc_id!r}: {kind} {name!r} not in catalog") from None
@@ -195,6 +197,21 @@ def _triplet_objects(raw, field: str) -> list:
     if not isinstance(raw, list) or not all(isinstance(obj, dict) for obj in raw):
         raise ValueError(f'"{field}" must be a list of triplet objects')
     return raw
+
+
+def prediction_record(
+    doc_id: str, ranked: Iterable[tuple[frozenset[Triplet], float]], cat: Catalog, error: str | None = None
+) -> dict:
+    """The record `decode` writes for one document: a candidate per ranked
+    (set, log-prob) pair, its triplets in id order (decoded sets are
+    order-free, the file is not), and the error when decoding failed."""
+    record: dict = {"id": doc_id, "candidates": [
+        {"rank": rank, "log_prob": lp, "triplets": [triplet_to_json(MentionedTriplet(t), cat) for t in sorted(ts)]}
+        for rank, (ts, lp) in enumerate(ranked, 1)
+    ]}
+    if error is not None:
+        record["error"] = error
+    return record
 
 
 def triplet_lists(record: dict) -> list[list]:
@@ -311,25 +328,25 @@ def write_json(path: str | Path, obj) -> None:
 # --- binary trie artifact ---------------------------------------------------
 
 
-def save_trie(trie: TokenTrie, path: str | Path, catalog_sha256: bytes | None = None) -> None:
-    """Write a byte-deterministic artifact: same trie, same bytes.
-
-    catalog_sha256 (default: the trie's own) is the SHA-256 of the
-    catalog file that binds the artifact to the names it was built from.
-    """
+def save_trie(trie: TokenTrie, path: str | Path, catalog: str | Path | None = None) -> None:
+    """Write a byte-deterministic artifact: same trie and catalog file,
+    same bytes. The header binds it to the catalog file the trie was built
+    from by that file's SHA-256, all zero when no catalog is given."""
+    digest = bytes(32) if catalog is None else bytes.fromhex(sha256_file(catalog))
     with open(path, "wb") as fh:
         fh.write(TRIE_MAGIC)
-        fh.write(_TRIE_HEADER.pack(trie.node_count, catalog_sha256 or trie.catalog_sha256))
+        fh.write(_TRIE_HEADER.pack(trie.node_count, digest))
         for arr in (trie.offsets, trie.terminal, trie.tokens):
             fh.write(arr)
 
 
-def load_trie(path: str | Path) -> TokenTrie:
-    """Read an artifact, checking every invariant the trie relies on.
+def load_trie(path: str | Path, catalog: str | Path | None = None) -> TokenTrie:
+    """Read an artifact, checking every invariant the trie relies on and,
+    when a catalog file is given, that the artifact was saved bound to it.
 
     The arrays are used as loaded, so a corrupt file is refused here
-    rather than misrouting or crashing a decode later.
-    """
+    rather than misrouting or crashing a decode later. The binding
+    covers the catalog file, not the arrays."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[: len(TRIE_MAGIC)] != TRIE_MAGIC:
@@ -341,7 +358,7 @@ def load_trie(path: str | Path) -> TokenTrie:
     if len(data) < pos:
         raise TrieFormatError(f"{path}: truncated trie artifact header")
     n, digest = _TRIE_HEADER.unpack_from(data, len(TRIE_MAGIC))
-    if n < 1:
+    if not 1 <= n <= np.iinfo(np.int32).max:  # node ids are int32
         raise TrieFormatError(f"{path}: bad node count {n}")
     size = pos + 4 * ((n + 1) + n + (n - 1))
     if len(data) != size:
@@ -351,7 +368,11 @@ def load_trie(path: str | Path) -> TokenTrie:
     terminal = np.frombuffer(data, np.int32, n, pos + offsets.nbytes)
     tokens = np.frombuffer(data, np.int32, n - 1, pos + offsets.nbytes + terminal.nbytes)
     _check_trie_arrays(path, offsets, tokens, terminal)
-    return TokenTrie(offsets, tokens, terminal, digest)
+    if catalog is not None and digest != bytes.fromhex(sha256_file(catalog)):
+        raise TrieFormatError(
+            f"{path}: not built by factbeam build-trie from {catalog}; rebuild it with factbeam build-trie"
+        )
+    return TokenTrie(offsets, tokens, terminal)
 
 
 def _check_trie_arrays(path, offsets, tokens, terminal) -> None:
@@ -360,8 +381,8 @@ def _check_trie_arrays(path, offsets, tokens, terminal) -> None:
         raise TrieFormatError(f"{path}: edge offsets are not a monotone 0..{n_edges} range")
     # node p's children are nodes offsets[p] + 1 ..: each node then has one
     # parent, and with every parent below its children the edges form one tree
-    has_edges = np.flatnonzero(np.diff(offsets))
-    if np.any(offsets[has_edges] < has_edges):
+    # (a leaf's offset is the next inner node's, or n - 1, so a leaf never fails alone)
+    if np.any(offsets[:-1] < np.arange(len(terminal), dtype=np.int32)):
         raise TrieFormatError(f"{path}: a child id below its parent's")
     if np.any(tokens < NUM_SPECIAL):  # names never tokenize to marker ids
         raise TrieFormatError(f"{path}: edge token {tokens.min()} below the first content id {NUM_SPECIAL}")

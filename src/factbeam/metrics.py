@@ -24,6 +24,8 @@ import numpy as np
 from .catalog import Catalog
 from .linearize import Triplet
 
+BOOTSTRAP_LEVEL = 0.95  # the coverage of every bootstrap interval
+
 
 @dataclass(frozen=True)
 class EvalPair:
@@ -248,6 +250,11 @@ def bucket_relations(occurrence_counts: Mapping[int, int]) -> dict[int, int]:
     return out
 
 
+def bucket_range(bucket: int) -> tuple[int, int]:
+    """The lowest and highest count that bucket_relations puts in bucket."""
+    return (2**bucket, 2 ** (bucket + 1) - 1) if bucket >= 0 else (0, 0)
+
+
 def bucketed_f1(
     pairs: Sequence[EvalPair], occurrence_counts: Mapping[int, int]
 ) -> dict[int, tuple[float, int]]:
@@ -269,13 +276,12 @@ def bootstrap_ci(
     pairs: Sequence[EvalPair],
     statistic: Callable[[Sequence[EvalPair]], float],
     B: int = 1000,
-    level: float = 0.95,
     seed: int = 0,
 ) -> tuple[float, float]:
     """Percentile bootstrap interval over document resamples.
 
-    Documents are drawn with replacement B times; the interval is the
-    [(1-level)/2, (1+level)/2] quantile pair of the statistic values.
+    Documents are drawn with replacement B times; the interval holds the
+    central BOOTSTRAP_LEVEL share of the statistic values (percentiles).
     Deterministic for a fixed seed. The statistic gets each resample as
     a read-only sequence of the drawn pairs in draw order; this module's
     scores read it as the corpus count table, built once, weighted by
@@ -283,13 +289,11 @@ def bootstrap_ci(
     """
     if B < 1:
         raise ValueError("B must be >= 1")
-    if not 0 < level < 1:
-        raise ValueError("level must lie in (0, 1)")
     if not pairs:
         raise ValueError("cannot bootstrap an empty corpus")
     rng = np.random.default_rng(seed)
     n = len(pairs)
     table = _CountTable(pairs)
     values = [statistic(_Resample(pairs, rng.integers(0, n, size=n), table)) for _ in range(B)]
-    lo, hi = (1.0 - level) / 2.0, (1.0 + level) / 2.0
+    lo, hi = (1.0 - BOOTSTRAP_LEVEL) / 2.0, (1.0 + BOOTSTRAP_LEVEL) / 2.0
     return float(np.quantile(values, lo)), float(np.quantile(values, hi))

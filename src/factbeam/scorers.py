@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tokens import ByteTokenizer, Tokenizer
+from .tokens import Tokenizer
 
 
 class UniformScorer:
@@ -40,28 +40,27 @@ class OracleScorer:
     """Concentrates probability along one target sequence.
 
     While the prefix matches the target, the next target token receives
-    `mass` and the remainder is spread uniformly over the other tokens.
+    MASS and the remainder is spread uniformly over the other tokens.
     Off-target prefixes (or prefixes past the target's end) fall back to
     a uniform distribution.
     """
 
-    __slots__ = ("target", "mass", "vocab_size", "_uniform", "_on", "_off")
+    __slots__ = ("target", "vocab_size", "_uniform", "_on", "_off")
 
-    def __init__(self, target: Sequence[int], vocab_size: int, mass: float = 0.99) -> None:
+    MASS = 0.99
+
+    def __init__(self, target: Sequence[int], vocab_size: int) -> None:
         if not target:
             raise ValueError("target must be non-empty")
-        if not 0.0 < mass < 1.0:
-            raise ValueError("mass must lie in (0, 1)")
         if vocab_size < 2:
             raise ValueError("vocab_size must be >= 2 to spread residual mass")
         if any(not 0 <= t < vocab_size for t in target):
             raise ValueError("target token outside vocabulary")
         self.target = tuple(target)
-        self.mass = mass
         self.vocab_size = vocab_size
         self._uniform = -math.log(vocab_size)
-        self._on = math.log(mass)
-        self._off = math.log((1.0 - mass) / (vocab_size - 1))
+        self._on = math.log(self.MASS)
+        self._off = math.log((1.0 - self.MASS) / (vocab_size - 1))
 
     def next_log_probs(self, context: str, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
         out = np.full((len(prefixes), self.vocab_size), self._uniform)
@@ -128,9 +127,9 @@ class NGramScorer:
         "n", "vocab_size", "tokenizer", "_row", "_indptr", "_next", "_log_count", "_log_total"
     )
 
-    def __init__(
-        self, n: int, tokenizer: Tokenizer, sequences: Sequence[Sequence[int]] = ()
-    ) -> None:
+    def __init__(self, n: int, tokenizer: Tokenizer, sequences: Sequence[Sequence[int]]) -> None:
+        if not sequences:
+            raise ValueError("corpus must be non-empty")
         if n < 1:
             raise ValueError("order must be >= 1")
         self.n = n
@@ -231,15 +230,10 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def train_ngram(
-    corpus: Iterable[Sequence[int]], n: int = 3, tokenizer: Tokenizer | None = None
-) -> NGramScorer:
-    """Fit an NGramScorer on token sequences (add-one smoothing).
+def train_ngram(corpus: Iterable[Sequence[int]], n: int, tokenizer: Tokenizer) -> NGramScorer:
+    """Fit an order-n NGramScorer on token sequences (add-one smoothing).
 
     The corpus must be non-empty. Sequences should already include any
-    context tokens the caller wants the model conditioned on.
+    context tokens, encoded by `tokenizer`, as each query's context is.
     """
-    sequences = list(corpus)
-    if not sequences:
-        raise ValueError("corpus must be non-empty")
-    return NGramScorer(n, tokenizer if tokenizer is not None else ByteTokenizer(), sequences)
+    return NGramScorer(n, tokenizer, list(corpus))

@@ -95,10 +95,9 @@ def test_build_trie_outputs(tmp_path, catalog_files):
     tok = ByteTokenizer()
     for kind, label, names in (("entity", "entities", ENTITIES), ("relation", "relations", RELATIONS)):
         # the header binds each trie to the catalog file bytes the manifest records
-        digest = bytes.fromhex(manifest["inputs"][label]["sha256"])
-        built = build_trie(enumerate(names), tok)
-        bound = TokenTrie(built.offsets, built.tokens, built.terminal, digest)
-        assert load_trie(out / f"{kind}.trie") == bound
+        path, catalog = out / f"{kind}.trie", manifest["inputs"][label]["path"]
+        assert path.read_bytes()[16:48].hex() == manifest["inputs"][label]["sha256"]
+        assert load_trie(path, catalog) == build_trie(enumerate(names), tok)
 
 
 def test_build_trie_reproducible(tmp_path, catalog_files):
@@ -184,11 +183,13 @@ def not_built_from(trie, catalog):
     return f"{trie}: not built by factbeam build-trie from {catalog}; rebuild it with factbeam build-trie"
 
 
-def test_decode_tries_from_other_catalog(tmp_path, catalog_files, capsys):
+@pytest.mark.parametrize("names", [["Seine", "Oslo", "Bern"], ENTITIES[:2]])
+def test_decode_tries_from_other_catalog(tmp_path, catalog_files, capsys, names):
+    """Another catalog is refused as such, whether or not its name count
+    differs too."""
     ent, rel = catalog_files
     other = tmp_path / "other_entities.tsv"
-    # as many names as the catalog, so only the decoded names give it away
-    other.write_text(catalog_tsv(["Seine", "Oslo", "Bern"]), encoding="utf-8")
+    other.write_text(catalog_tsv(names), encoding="utf-8")
     tries = tmp_path / "tries"
     assert main(["build-trie", "--entities", str(other), "--relations", rel, "--out-dir", str(tries)]) == 0
     docs = docs_file(tmp_path, "docs.jsonl", [{"id": "d1", "input": "The Seine."}])
@@ -241,17 +242,22 @@ def test_decode_tries_previous_format(tmp_path, catalog_files, capsys):
 
 
 def test_decode_tries_name_count_differs(tmp_path, catalog_files, capsys):
+    """An artifact bound to the catalog file whose arrays end fewer names
+    than the catalog has."""
     ent, rel = catalog_files
-    other = tmp_path / "other_entities.tsv"
-    other.write_text(catalog_tsv(ENTITIES[:2]), encoding="utf-8")
     tries = tmp_path / "tries"
-    assert main(["build-trie", "--entities", str(other), "--relations", rel, "--out-dir", str(tries)]) == 0
+    assert main(["build-trie", "--entities", ent, "--relations", rel, "--out-dir", str(tries)]) == 0
+    path = tries / "entity.trie"
+    trie = load_trie(path)
+    terminal = np.array(trie.terminal)
+    terminal[np.flatnonzero(terminal >= 0)[0]] = -1
+    save_trie(TokenTrie(trie.offsets, trie.tokens, terminal), path, ent)
     gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
     rc, out = run_decode(
         tmp_path, catalog_files, gold, ["--tries", str(tries), "--scorer", f"oracle:{gold}"]
     )
     assert_clean_failure(
-        rc, capsys, out, f"{tries / 'entity.trie'}: trie holds 2 names, the entity catalog 3"
+        rc, capsys, out, f"{path}: trie holds 2 names, the entity catalog 3"
     )
 
 
@@ -264,10 +270,26 @@ def test_decode_tries_token_outside_vocabulary(tmp_path, catalog_files, capsys, 
     trie = load_trie(path)
     tokens = np.array(trie.tokens)
     tokens[-1] = token  # the last edge is its node's only one, so the order check passes
-    save_trie(TokenTrie(trie.offsets, tokens, trie.terminal, trie.catalog_sha256), path)
+    save_trie(TokenTrie(trie.offsets, tokens, trie.terminal), path, ent)
     gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
     rc, out = run_decode(tmp_path, catalog_files, gold, ["--tries", str(tries), "--scorer", "uniform"])
     assert_clean_failure(rc, capsys, out, f"{path}: edge token {token} outside the tokenizer's 261 ids")
+
+
+def test_decode_tries_spell_names_outside_catalog(tmp_path, catalog_files, capsys):
+    """Arrays that pass every structural check yet spell other names (the
+    digest covers the catalog file, not the arrays) are refused, named by
+    their directory, when a decoded name does not parse."""
+    ent, rel = catalog_files
+    tries = tmp_path / "tries"
+    assert main(["build-trie", "--entities", ent, "--relations", rel, "--out-dir", str(tries)]) == 0
+    trie = load_trie(tries / "entity.trie")
+    save_trie(TokenTrie(trie.offsets, np.array(trie.tokens) + 1, trie.terminal), tries / "entity.trie", ent)
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    rc, out = run_decode(
+        tmp_path, catalog_files, gold, ["--tries", str(tries), "--scorer", "uniform", "--no-empty-set"]
+    )
+    assert_clean_failure(rc, capsys, out, f"{tries}: decoded sequence does not parse against the catalog")
 
 
 def test_decode_non_object_line(tmp_path, catalog_files, capsys):
@@ -791,16 +813,19 @@ def test_attribute_without_catalog_bad_triplets(tmp_path, capsys, triplets):
     assert_clean_failure(rc, capsys, out, f"{pred}:1: {BAD_TRIPLETS}")
 
 
-def test_attribute_without_catalog_blank_name(tmp_path, capsys):
+@pytest.mark.parametrize("with_catalog", [False, True])
+@pytest.mark.parametrize("key, kind", [("sub", "entity"), ("rel", "relation"), ("obj", "entity")])
+def test_attribute_blank_name(tmp_path, catalog_files, capsys, with_catalog, key, kind):
+    """A blank name is refused by its triplet key, whether or not catalog
+    files number the names."""
     gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
-    pred = docs_file(
-        tmp_path, "pred.jsonl",
-        [{"id": "d1", "triplets": []}, {"id": "d2", "triplets": [{"sub": " ", "rel": "crosses", "obj": "Rome"}]}],
-    )
+    blank = {"sub": "Tiber", "rel": "crosses", "obj": "Rome", key: " "}
+    pred = docs_file(tmp_path, "pred.jsonl", [{"id": "d1", "triplets": []}, {"id": "d2", "triplets": [blank]}])
     out = tmp_path / "attr.json"
-    rc = main(["attribute", "--gold", gold, "--pred", pred, "--out", str(out)])
-    # the gold file named Tiber, Rome and Paris first
-    assert_clean_failure(rc, capsys, out, f"{pred}:2: blank entity name at position 3")
+    ent, rel = catalog_files
+    catalog = ["--entities", ent, "--relations", rel] if with_catalog else []
+    rc = main(["attribute", "--gold", gold, "--pred", pred, "--out", str(out)] + catalog)
+    assert_clean_failure(rc, capsys, out, f"{pred}:2: doc 'd2': triplet '{key}' is a blank {kind} name")
 
 
 @pytest.mark.parametrize("subcommand", ["build-trie", "decode", "evaluate", "attribute"])
@@ -888,7 +913,7 @@ def test_decode_failing_document_keeps_previous_output(tmp_path, catalog_files, 
     rc, _ = run_decode(tmp_path, catalog_files, gold, ["--scorer", f"oracle:{oracle}"])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "factbeam: error: oracle file has no record for document 'd2'" in err
+    assert f"factbeam: error: {oracle}: no record for document 'd2'" in err
     assert out.read_bytes() == b'{"previous": "predictions"}\n'
     assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 

@@ -25,6 +25,7 @@ from factbeam.catalog import CatalogError
 from factbeam.fileio import (
     TRIE_MAGIC,
     TrieFormatError,
+    prediction_record,
     read_counts,
     read_jsonl,
     read_mentions,
@@ -186,6 +187,8 @@ def test_triplet_json_unknown_name(cat):
 def test_triplet_json_missing_field(cat):
     with pytest.raises(ValueError, match="missing"):
         triplet_from_json({"sub": "Rome", "obj": "Paris"}, cat, "d")
+    with pytest.raises(ValueError, match=re.escape("doc 'd': triplet 'rel' is a blank relation name")):
+        triplet_from_json({"sub": "Rome", "rel": "\t", "obj": "Paris"}, cat, "d")
 
 
 def test_triplet_json_bad_span(cat):
@@ -238,6 +241,21 @@ def test_prediction_sets_from_candidates(tmp_path, cat):
     preds = read_prediction_sets(path, cat)
     assert preds["d1"] == frozenset({Triplet(2, 1, 1)})
     assert preds["d2"] == frozenset()
+
+
+def test_prediction_records_read_back(tmp_path, cat):
+    """The records `decode` writes, ranked and failed, read back as their
+    rank-1 sets."""
+    best = frozenset({Triplet(2, 1, 1), Triplet(0, 0, 1)})
+    records = [
+        prediction_record("d1", [(best, -1.5), (frozenset(), -2.0)], cat),
+        prediction_record("d2", [], cat, "no sequence finished within max_len=8"),
+    ]
+    assert [t["sub"] for t in records[0]["candidates"][0]["triplets"]] == ["Paris", "Tiber"]  # id order
+    assert records[1] == {"id": "d2", "candidates": [], "error": "no sequence finished within max_len=8"}
+    path = tmp_path / "pred.jsonl"
+    write_jsonl(path, records)
+    assert read_prediction_sets(path, cat) == {"d1": best, "d2": frozenset()}
 
 
 def test_prediction_sets_from_plain_records(tmp_path, cat):
@@ -393,14 +411,14 @@ def test_trie_corrupt_arrays(tmp_path, mutate, match):
     arrays = {f: np.array(getattr(trie, f)) for f in ("offsets", "tokens", "terminal")}
     mutate(arrays)
     path = tmp_path / "corrupt.trie"
-    save_trie(TokenTrie(**arrays, catalog_sha256=trie.catalog_sha256), path)
+    save_trie(TokenTrie(**arrays), path)
     with pytest.raises(TrieFormatError, match=match):
         load_trie(path)
 
 
 @pytest.mark.parametrize(
     "delta_nodes, match",
-    [(-100, "node count"), (1, "truncated trie"), (-1, "trailing bytes")],
+    [(-100, "node count"), (1 << 31, "node count"), (1, "truncated trie"), (-1, "trailing bytes")],
 )
 def test_trie_bad_header_counts(tmp_path, delta_nodes, match):
     path = tmp_path / "bad.trie"
@@ -414,16 +432,17 @@ def test_trie_bad_header_counts(tmp_path, delta_nodes, match):
 
 
 def test_trie_header_carries_catalog_digest(tmp_path):
-    path = tmp_path / "e.trie"
+    path, catalog, other = tmp_path / "e.trie", tmp_path / "catalog.tsv", tmp_path / "other.tsv"
+    catalog.write_bytes(b"any catalog file")
+    other.write_bytes(b"another catalog file")
     trie = build_trie([(1, "Rome"), (0, "Paris")], TOK)
-    assert trie.catalog_sha256 == bytes(32)  # in-process builds carry no catalog digest
-    digest = hashlib.sha256(b"any catalog file").digest()
-    save_trie(trie, path, digest)
-    assert path.read_bytes()[len(TRIE_MAGIC) + 8 : len(TRIE_MAGIC) + 40] == digest
-    loaded = load_trie(path)
-    assert loaded.catalog_sha256 == digest
-    save_trie(loaded, path)  # a loaded trie keeps its digest
-    assert load_trie(path) == loaded
+    save_trie(trie, path)  # no catalog: an all-zero digest
+    assert path.read_bytes()[len(TRIE_MAGIC) + 8 : len(TRIE_MAGIC) + 40] == bytes(32)
+    save_trie(trie, path, catalog)
+    assert path.read_bytes()[len(TRIE_MAGIC) + 8 : len(TRIE_MAGIC) + 40] == hashlib.sha256(b"any catalog file").digest()
+    assert load_trie(path) == load_trie(path, catalog) == trie
+    with pytest.raises(TrieFormatError, match=re.escape(f"{path}: not built by factbeam build-trie from {other};")):
+        load_trie(path, other)
 
 
 def test_sha256_file(tmp_path):

@@ -470,5 +470,3 @@ def test_bootstrap_validation():
         bootstrap_ci(pairs, lambda ps: 0.0, B=0)
     with pytest.raises(ValueError):
         bootstrap_ci([], lambda ps: 0.0)
-    with pytest.raises(ValueError):
-        bootstrap_ci(pairs, lambda ps: 0.0, level=1.0)

@@ -48,7 +48,7 @@ def test_uniform_rejects_empty_vocab():
 
 def test_oracle_along_target():
     target = [0, 7, 9, 4]
-    s = OracleScorer(target, vocab_size=100, mass=0.99)
+    s = OracleScorer(target, vocab_size=100)
     for i in range(len(target)):
         table = row(s, "", target[:i])
         assert table[target[i]] == pytest.approx(math.log(0.99))
@@ -67,8 +67,6 @@ def test_oracle_uniform_off_target_and_past_end():
 def test_oracle_validation():
     with pytest.raises(ValueError):
         OracleScorer([], vocab_size=10)
-    with pytest.raises(ValueError):
-        OracleScorer([3], vocab_size=10, mass=1.0)
     with pytest.raises(ValueError):
         OracleScorer([11], vocab_size=10)
 
@@ -153,15 +151,16 @@ def test_ngram_short_history_uses_shorter_orders():
 
 
 def test_ngram_rejects_empty_corpus_and_bad_order():
-    with pytest.raises(ValueError, match="non-empty"):
-        train_ngram([], n=2)
+    for make in (lambda: train_ngram([], n=2, tokenizer=TOK), lambda: NGramScorer(2, TOK, [])):
+        with pytest.raises(ValueError, match="non-empty"):
+            make()
     with pytest.raises(ValueError):
-        NGramScorer(0, TOK)
+        NGramScorer(0, TOK, [[10]])
     # 7-token byte histories and the next token overflow int64; the bound is
     # found without computing 262 ** (n - 1)
     for n in (8, 10**6):
         with pytest.raises(ValueError, match=f"order {n} is too high for a 261-token vocabulary: at most 7$"):
-            NGramScorer(n, TOK)
+            NGramScorer(n, TOK, [[10]])
     for bad in (999, -1):
         with pytest.raises(ValueError, match=f"token {bad} outside vocabulary"):
             train_ngram([[10, 11], [12, bad, 13]], n=2, tokenizer=TOK)
