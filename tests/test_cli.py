@@ -26,7 +26,7 @@ from factbeam.cli import build_parser, main
 from factbeam.fileio import read_jsonl, sha256_file, write_jsonl
 from factbeam.metrics import bucketed_f1
 
-from helpers import catalog_tsv
+from helpers import catalog_tsv, word_names
 
 ENTITIES = ["Paris", "Rome", "Tiber"]
 RELATIONS = ["capital of", "crosses"]
@@ -1116,11 +1116,16 @@ def test_each_text_input_parsed_once(tmp_path, catalog_files, monkeypatch, case)
     assert sorted(parsed) == sorted(Path(path).resolve() for path in expected)
 
 
+def cli_process_env() -> dict[str, str]:
+    """The environment in which `python -m factbeam.cli` imports this package."""
+    src = Path(factbeam.__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("case", ["bad-catalog-row", "version"])
 def test_cli_as_a_process(tmp_path, case):
     """`python -m factbeam.cli`: a bad input is one error line and exit 1, no traceback."""
-    src = Path(factbeam.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env = cli_process_env()
     ent = tmp_path / "entities.tsv"
     ent.write_text("0\tParis\n1\tRome\n2\tParis\n", encoding="utf-8")
     rel = tmp_path / "relations.tsv"
@@ -1256,3 +1261,72 @@ def test_cli_survives_mutated_inputs(tmp_path, capsys):
                 assert rc in (0, 1), argv
                 assert rc == 0 or "factbeam: error:" in err, (argv, err)
         path.write_bytes(pristine[path])
+
+
+# --- scale through the CLI ---------------------------------------------------------
+
+# Per name at 1e5 names, each about twice what the command took on a 2-core
+# x86-64 machine (Python 3.11, numpy 2.4) when this check was added:
+# build-trie 84.2 MiB and 0.66-0.82 s, decode 74.8 MiB and 0.44-0.58 s.
+# Peak RSS is the process's ru_maxrss, interpreter and numpy included;
+# seconds are its CPU time, which waiting for a busy machine does not inflate.
+SCALE_BOUNDS = {"build-trie": (1.7, 16.0), "decode": (1.5, 11.0)}  # (KiB, CPU microseconds) per name
+
+
+# Runs argv[1:] and prints its exit code, peak RSS in KiB and CPU seconds. A
+# process's ru_maxrss starts from the RSS of the process that forked it (exec
+# keeps the high-water mark), so the command is started from this small
+# process, not from the test process.
+MEASURE = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, usage.ru_utime + usage.ru_stime)
+"""
+
+
+def run_measured(argv: list[str]) -> tuple[int, float]:
+    """Run `python -m factbeam.cli argv` in a fresh process, which must exit
+    0; its peak RSS in KiB and its CPU seconds."""
+    proc = subprocess.run([sys.executable, "-c", MEASURE, sys.executable, "-m", "factbeam.cli", *argv],
+                          capture_output=True, text=True, env=cli_process_env(), timeout=120)
+    exit_code, kib, seconds = proc.stdout.split()
+    assert (proc.returncode, exit_code) == (0, "0"), proc.stderr
+    return int(kib), float(seconds)
+
+
+def test_build_trie_then_decode_at_1e5_names(tmp_path):
+    """`build-trie` over 1e5 names, then `decode --tries` of a few documents
+    with the oracle scorer at k=10, each in its own process: bounded in
+    peak RSS and CPU seconds per name, and the oracle's facts come back."""
+    rng = random.Random(5)
+    names = word_names(rng, 100_000)
+    relations = [name.lower() for name in word_names(rng, 500)]
+    ent, rel = tmp_path / "entities.tsv", tmp_path / "relations.tsv"
+    ent.write_text(catalog_tsv(names), encoding="utf-8")
+    rel.write_text(catalog_tsv(relations), encoding="utf-8")
+    records = []
+    for d in range(5):
+        facts = [(rng.choice(names), rng.choice(relations), rng.choice(names)) for _ in range(rng.randint(1, 3))]
+        records.append({
+            "id": f"d{d}",
+            "input": " ".join(f"{s} {r} {o}." for s, r, o in facts),
+            "triplets": [{"sub": s, "rel": r, "obj": o} for s, r, o in facts],
+        })
+    gold = docs_file(tmp_path, "gold.jsonl", records)
+    catalog, tries, out = ["--entities", str(ent), "--relations", str(rel)], tmp_path / "tries", tmp_path / "pred.jsonl"
+    measured = {
+        "build-trie": run_measured(["build-trie", *catalog, "--out-dir", str(tries)]),
+        "decode": run_measured(["decode", "--input", gold, *catalog, "--tries", str(tries),
+                                "--scorer", f"oracle:{gold}", "-k", "10", "--out", str(out)]),
+    }
+    for step, (kib, seconds) in measured.items():
+        kib_bound, us_bound = SCALE_BOUNDS[step]
+        assert kib / len(names) < kib_bound, f"{step}: peak RSS {kib / 1024:.1f} MiB"
+        assert seconds * 1e6 / len(names) < us_bound, f"{step}: {seconds:.2f} CPU seconds"
+    by_id = read_records(out)
+    for record in records:
+        top = min(by_id[record["id"]]["candidates"], key=lambda c: c["rank"])
+        assert {(t["sub"], t["rel"], t["obj"]) for t in top["triplets"]} == {
+            (t["sub"], t["rel"], t["obj"]) for t in record["triplets"]
+        }
