@@ -145,11 +145,13 @@ def _scorer_factory(
         tok.encode(doc.text) + linearize(order_triplets(doc.triplets), cat, tok)
         for doc in docs
     ]
-    scorer = train_ngram(corpus, n=args.ngram_order, tokenizer=tok)
+    scorer = train_ngram(corpus, n=3 if args.ngram_order is None else args.ngram_order, tokenizer=tok)
     return lambda doc: scorer, path
 
 
 def cmd_decode(args: argparse.Namespace, stage: Stage) -> dict[str, str | Path]:
+    if args.ngram_order is not None and not args.scorer.startswith("ngram:"):
+        raise ValueError("--ngram-order needs --scorer ngram:FILE")
     tok = ByteTokenizer()
     cat = load_catalog(args.entities, args.relations)
     inputs: dict[str, str | Path] = {
@@ -305,6 +307,8 @@ def _spanned_documents(path: str, cat: Catalog) -> list[Document]:
 def cmd_attribute(args: argparse.Namespace, stage: Stage) -> dict[str, str]:
     if bool(args.entities) != bool(args.relations):
         raise ValueError("--entities and --relations go together")
+    if args.mode and not args.mentions:
+        raise ValueError("--mode needs --mentions")
     inputs = {"gold": args.gold, "pred": args.pred}
     if args.entities:
         cat = load_catalog(args.entities, args.relations)
@@ -322,10 +326,14 @@ def cmd_attribute(args: argparse.Namespace, stage: Stage) -> dict[str, str]:
     }
     if args.mentions:
         mentions = read_mentions(args.mentions)
-        report[f"ner_{args.mode}"] = ner_error(
+        extra = mentions.keys() - {doc.doc_id for doc in gold_docs}
+        if extra:
+            log.warning("%s: %d mentioned document(s) absent from gold, ignored", args.mentions, len(extra))
+        mode = args.mode or "exact"
+        report[f"ner_{mode}"] = ner_error(
             [doc.triplets for doc in gold_docs],
             [mentions.get(doc.doc_id, []) for doc in gold_docs],
-            args.mode,
+            mode,
         )
         inputs["mentions"] = args.mentions
     write_json(stage(Path(args.out)), report)
@@ -373,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length-alpha", type=float, default=DecodeConfig.length_alpha)
     p.add_argument("--max-triplets", type=int, default=None)
     p.add_argument("--no-empty-set", action="store_true", help="forbid the empty prediction")
-    p.add_argument("--ngram-order", type=int, default=3)
+    p.add_argument("--ngram-order", type=int, help="order of the ngram: scorer (default: 3)")
     p.add_argument("--out", required=True, help="predictions JSONL")
     _add_common(p)
     p.set_defaults(func=cmd_decode)
@@ -397,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     _add_catalog_flags(p, required=False)
     p.add_argument("--mentions", help="predicted mention spans JSONL ({id, spans})")
-    p.add_argument("--mode", choices=("exact", "partial"), default="exact")
+    p.add_argument("--mode", choices=("exact", "partial"), help="mention matching for --mentions (default: exact)")
     p.add_argument("--out", required=True, help="report JSON")
     _add_common(p)
     p.set_defaults(func=cmd_attribute)

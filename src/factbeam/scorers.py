@@ -113,14 +113,13 @@ class NGramScorer:
     start of a sequence is still informed. The input context is encoded
     and prepended to the prefix, giving a crude conditional p(y|x).
 
-    The counts form one table, kept as the logs that smoothing needs. Each
-    seen history is packed into an int (its tokens, newest first, as the
-    digits t + 1 of a base V + 1 number, so histories of different lengths
-    never collide) and `_row` maps it to a row r. History r was followed
-    by token `_next[i]` c times, with `_log_count[i]` = log(c + 1), for i
-    in `_indptr[r]:_indptr[r + 1]`, and `_log_total[r]` is
-    log(c(h) + V). The last row has no entries and stands for every
-    unseen history.
+    The counts form one table, kept as the logs that smoothing needs.
+    `_row` maps each seen history, a tuple of its tokens oldest first, to
+    a row r. History r was followed by token `_next[i]` c times, with
+    `_log_count[i]` = log(c + 1), for i in `_indptr[r]:_indptr[r + 1]`,
+    and `_log_total[r]` is log(c(h) + V). The last row has no entries and
+    stands for every unseen history, which includes any history holding
+    an id outside the vocabulary.
     """
 
     __slots__ = (
@@ -144,7 +143,9 @@ class NGramScorer:
 
     def _count(self, sequences: Sequence[Sequence[int]]) -> None:
         """Fill the table with one sort per history length over the packed
-        (history, next token) windows of every sequence."""
+        (history, next token) windows of every sequence. A history packs
+        as the digits t + 1 of a base V + 1 number, oldest token least
+        significant, so histories of different lengths never collide."""
         V, W, h = self.vocab_size, self.vocab_size + 1, self.n - 1
         for seq in sequences:
             if len(seq) and not (0 <= min(seq) and max(seq) < V):
@@ -160,7 +161,7 @@ class NGramScorer:
         starts = np.cumsum(lens) - lens
         for j in range(h):
             depth[starts[lens > j] + j] = j
-        pairs, counts = [], []
+        pairs, counts, keys = [], [], []
         for m in range(h + 1):
             at = depth >= m  # positions with a history of length m
             # Horner's rule in place: newest history token first, next token last
@@ -175,13 +176,17 @@ class NGramScorer:
             first = _run_starts(windows)
             counts.append(np.diff(first, append=len(windows)))
             pairs.append(windows[first])
+            hist = pairs[-1] // V
+            hist = hist[_run_starts(hist)]  # each history once (np.unique would import numpy.ma)
+            digits = [(hist // W**j % W - 1).tolist() for j in range(m)]  # oldest token first
+            keys += zip(*digits) if m else [()] * len(hist)
             del at, windows
         del flat, depth
         pair = np.concatenate(pairs)
         count = np.concatenate(counts)
         hist = pair // V
         row_first = _run_starts(hist)
-        self._row = dict(zip(hist[row_first].tolist(), range(len(row_first))))
+        self._row = dict(zip(keys, range(len(keys))))
         self._indptr = np.append(row_first, [len(pair), len(pair)])
         self._next = pair % V
         self._log_count = np.log(count + 1.0)
@@ -189,27 +194,18 @@ class NGramScorer:
         self._log_total = np.array([math.log(t + V) for t in totals])
 
     def next_log_probs(self, context: str, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        V, W, h = self.vocab_size, self.vocab_size + 1, self.n - 1
+        V, h = self.vocab_size, self.n - 1
         ctx = None  # the context's last h tokens, encoded once if some prefix is shorter than h
         unseen = len(self._log_total) - 1
         rows = []
         for prefix in prefixes:
-            if not h:
-                rows.append(self._row.get(0, unseen))
-                continue
             if len(prefix) >= h:
-                hist = prefix[-h:]
+                hist = prefix[len(prefix) - h :]  # not [-h:], which is the whole prefix at h = 0
             else:
                 if ctx is None:
                     ctx = self.tokenizer.encode(context)[-h:]
                 hist = (ctx + list(prefix))[-h:]
-            key = 0
-            for t in reversed(hist):
-                if not 0 <= t < V:
-                    key = -1  # never a packed key: the history is unseen
-                    break
-                key = key * W + t + 1
-            rows.append(self._row.get(key, unseen))
+            rows.append(self._row.get(tuple(hist), unseen))
         r = np.array(rows, dtype=np.intp)
         log_total = self._log_total[r]
         # add-one smoothing: log(c(h,t) + 1) - log(c(h) + V), where log(0 + 1) = 0

@@ -347,6 +347,14 @@ def test_decode_random_seed_outside_int64(tmp_path, catalog_files, capsys):
     assert_clean_failure(rc, capsys, out, f"seed {seed} does not fit in a signed 64-bit integer")
 
 
+@pytest.mark.parametrize("scorer", ["uniform", "random", "oracle"])
+def test_decode_ngram_order_requires_ngram_scorer(tmp_path, catalog_files, capsys, scorer):
+    docs = docs_file(tmp_path, "docs.jsonl", GOLD_RECORDS)
+    spec = f"oracle:{docs}" if scorer == "oracle" else scorer
+    rc, out = run_decode(tmp_path, catalog_files, docs, ["--scorer", spec, "--ngram-order", "9"])
+    assert_clean_failure(rc, capsys, out, "--ngram-order needs --scorer ngram:FILE")
+
+
 @pytest.mark.parametrize("kind", ["documents", "entities", "counts"])
 def test_invalid_utf8_reported_with_file_and_line(tmp_path, catalog_files, capsys, kind):
     ent, rel = catalog_files
@@ -654,6 +662,27 @@ def test_attribute_with_mentions(tmp_path, catalog_files):
     assert report["ner_exact"] == 0.0
 
 
+def test_attribute_mode_requires_mentions(tmp_path, capsys):
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    out = tmp_path / "attr.json"
+    rc = main(["attribute", "--gold", gold, "--pred", gold, "--mode", "partial", "--out", str(out)])
+    assert_clean_failure(rc, capsys, out, "--mode needs --mentions")
+
+
+def test_attribute_warns_of_mentions_absent_from_gold(tmp_path, caplog):
+    gold = docs_file(tmp_path, "gold.jsonl", SPANNED_GOLD_RECORDS[:1])
+    mentions = docs_file(
+        tmp_path, "mentions.jsonl", [{"id": "d1", "spans": [[0, 1]]}, {"id": "d9", "spans": []}]
+    )
+    with caplog.at_level(logging.WARNING, logger="factbeam"):
+        assert main(
+            ["attribute", "--gold", gold, "--pred", gold, "--mentions", mentions, "--out", str(tmp_path / "a.json")]
+        ) == 0
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("factbeam", "WARNING", f"{mentions}: 1 mentioned document(s) absent from gold, ignored")
+    ]
+
+
 @pytest.mark.parametrize("given", ["--entities", "--relations"])
 def test_attribute_catalog_flags_go_together(tmp_path, capsys, given):
     gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
@@ -749,6 +778,23 @@ def test_candidate_without_integer_rank(tmp_path, catalog_files, capsys, candida
         ["evaluate", "--gold", gold, "--pred", pred, "--entities", ent, "--relations", rel, "--out", str(out)]
     )
     assert_clean_failure(rc, capsys, out, f'{pred}:2: "candidates" must be objects with an integer "rank" and a "triplets" list')
+
+
+@pytest.mark.parametrize("gold_first", [True, False])
+def test_candidates_sharing_a_rank_are_refused(tmp_path, catalog_files, capsys, gold_first):
+    """Two candidates at rank 1 leave the rank-1 set undefined: whichever
+    the file lists first would be scored, so the record is refused."""
+    ent, rel = catalog_files
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS[:1])
+    candidates = [{"rank": 1, "triplets": GOLD_RECORDS[0]["triplets"]}, {"rank": 1, "triplets": []}]
+    if not gold_first:
+        candidates.reverse()
+    pred = docs_file(tmp_path, "pred.jsonl", [{"id": "d1", "candidates": [*candidates, {"rank": 2, "triplets": []}]}])
+    out = tmp_path / "report.json"
+    rc = main(
+        ["evaluate", "--gold", gold, "--pred", pred, "--entities", ent, "--relations", rel, "--out", str(out)]
+    )
+    assert_clean_failure(rc, capsys, out, f"{pred}:1: duplicate rank 1")
 
 
 def test_evaluate_deeply_nested_prediction(tmp_path, catalog_files, capsys):
@@ -1265,12 +1311,16 @@ def test_cli_survives_mutated_inputs(tmp_path, capsys):
 
 # --- scale through the CLI ---------------------------------------------------------
 
-# Per name at 1e5 names, each about twice what the command took on a 2-core
-# x86-64 machine (Python 3.11, numpy 2.4) when this check was added:
-# build-trie 84.2 MiB and 0.66-0.82 s, decode 74.8 MiB and 0.44-0.58 s.
+# Per name, each about twice what the command took on a 2-core x86-64 machine
+# (Python 3.11, numpy 2.4) when the check at that size was added: at 1e5 names,
+# build-trie 84.2 MiB and 0.66-0.82 s, decode 74.8 MiB and 0.44-0.58 s; at 1e6
+# names, build-trie 484.5 MiB and 6.0-6.6 s, decode 402.0 MiB and 2.2-2.6 s.
 # Peak RSS is the process's ru_maxrss, interpreter and numpy included;
 # seconds are its CPU time, which waiting for a busy machine does not inflate.
-SCALE_BOUNDS = {"build-trie": (1.7, 16.0), "decode": (1.5, 11.0)}  # (KiB, CPU microseconds) per name
+SCALE_BOUNDS = {  # names: {command: (KiB, CPU microseconds) per name}
+    100_000: {"build-trie": (1.7, 16.0), "decode": (1.5, 11.0)},
+    1_000_000: {"build-trie": (1.0, 13.0), "decode": (0.85, 5.5)},
+}
 
 
 # Runs argv[1:] and prints its exit code, peak RSS in KiB and CPU seconds. A
@@ -1295,12 +1345,13 @@ def run_measured(argv: list[str]) -> tuple[int, float]:
     return int(kib), float(seconds)
 
 
-def test_build_trie_then_decode_at_1e5_names(tmp_path):
-    """`build-trie` over 1e5 names, then `decode --tries` of a few documents
-    with the oracle scorer at k=10, each in its own process: bounded in
-    peak RSS and CPU seconds per name, and the oracle's facts come back."""
+def check_build_trie_then_decode(tmp_path, count: int) -> None:
+    """`build-trie` over `count` names, then `decode --tries` of a few
+    documents with the oracle scorer at k=10, each in its own process:
+    bounded in peak RSS and CPU seconds per name, and the oracle's facts
+    come back."""
     rng = random.Random(5)
-    names = word_names(rng, 100_000)
+    names = word_names(rng, count)
     relations = [name.lower() for name in word_names(rng, 500)]
     ent, rel = tmp_path / "entities.tsv", tmp_path / "relations.tsv"
     ent.write_text(catalog_tsv(names), encoding="utf-8")
@@ -1321,7 +1372,7 @@ def test_build_trie_then_decode_at_1e5_names(tmp_path):
                                 "--scorer", f"oracle:{gold}", "-k", "10", "--out", str(out)]),
     }
     for step, (kib, seconds) in measured.items():
-        kib_bound, us_bound = SCALE_BOUNDS[step]
+        kib_bound, us_bound = SCALE_BOUNDS[count][step]
         assert kib / len(names) < kib_bound, f"{step}: peak RSS {kib / 1024:.1f} MiB"
         assert seconds * 1e6 / len(names) < us_bound, f"{step}: {seconds:.2f} CPU seconds"
     by_id = read_records(out)
@@ -1330,3 +1381,12 @@ def test_build_trie_then_decode_at_1e5_names(tmp_path):
         assert {(t["sub"], t["rel"], t["obj"]) for t in top["triplets"]} == {
             (t["sub"], t["rel"], t["obj"]) for t in record["triplets"]
         }
+
+
+def test_build_trie_then_decode_at_1e5_names(tmp_path):
+    check_build_trie_then_decode(tmp_path, 100_000)
+
+
+@pytest.mark.skipif(os.environ.get("FACTBEAM_1E6") != "1", reason="set FACTBEAM_1E6=1 to run at 1e6 names")
+def test_build_trie_then_decode_at_1e6_names(tmp_path):
+    check_build_trie_then_decode(tmp_path, 1_000_000)
