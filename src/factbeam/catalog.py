@@ -159,8 +159,10 @@ def build_trie(names_with_ids: Iterable[tuple[int, str]], tok: Tokenizer) -> Tok
         if not 0 <= catalog_id < 1 << 31:  # the int32 ids that load_trie accepts
             raise CatalogError(f"trie id {catalog_id} outside the int32 range 0..{(1 << 31) - 1}")
         encoded = tok.encode(name)
+        if not isinstance(encoded, list):  # the Tokenizer contract, and all that fromlist takes
+            raise CatalogError(f"tokenizer encode returned {type(encoded).__name__}, not list")
         ids.append(catalog_id)
-        flat.extend(encoded)
+        flat.fromlist(encoded)
         lengths.append(len(encoded))
     ids, flat, length = np.asarray(ids), np.asarray(flat), np.asarray(lengths)
     sorted_ids = np.sort(ids)

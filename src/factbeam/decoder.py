@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -59,11 +59,12 @@ class DecodeConfig:
             raise ValueError("max_triplets must be >= 0")
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(NamedTuple):
     """A beam entry. `marker` is the last marker emitted: the opener of
     the name being read (a GRAMMAR key), ET between blocks and at the
-    start, EOS once finished."""
+    start, EOS once finished. `beam_search` keeps its live entries in
+    ascending `tokens` order, and compares `tokens` only when a finished
+    entry is tied."""
 
     tokens: tuple[int, ...] = ()
     log_prob: float = 0.0
@@ -102,7 +103,8 @@ class InvalidScores(ValueError):
 def allowed_tokens(
     h: Hypothesis, tries: tuple[TokenTrie, TokenTrie], cfg: DecodeConfig
 ) -> list[int]:
-    """Tokens that keep `h` a prefix of some valid linearization, ascending."""
+    """Tokens that keep `h` a prefix of some valid linearization, ascending:
+    `beam_search`'s live order, and so its tie rule, depends on that order."""
     if h.marker == EOS:
         raise ValueError("finished hypothesis cannot be extended")
     if h.marker == ET:
@@ -135,8 +137,10 @@ def _extend(
     return Hypothesis(tokens, log_prob, token, None, h.n_triplets + (token == ET))
 
 
-def _top_k(keys: np.ndarray, k: int, tokens_of: Callable[[int], tuple[int, ...]]) -> list[int]:
-    """Indices of the k entries ranked first by (-key, tokens_of(index))."""
+def _top_k(keys: np.ndarray, k: int, n_done: int, tokens_of: Callable[[int], tuple[int, ...]]) -> list[int]:
+    """Ascending indices of the k entries ranked first by (-key, tokens_of(i)),
+    given entries from n_done on in ascending tokens_of order: their ties go by
+    index, and tokens_of is called only when an entry below n_done is tied."""
     n = len(keys)
     if n <= k:
         return list(range(n))
@@ -144,8 +148,8 @@ def _top_k(keys: np.ndarray, k: int, tokens_of: Callable[[int], tuple[int, ...]]
     chosen = np.flatnonzero(keys > kth).tolist()
     tied = np.flatnonzero(keys == kth).tolist()
     if len(tied) > k - len(chosen):
-        tied = sorted(tied, key=tokens_of)[: k - len(chosen)]
-    return chosen + tied
+        tied = (sorted(tied, key=tokens_of) if tied[0] < n_done else tied)[: k - len(chosen)]
+    return sorted(chosen + tied)
 
 
 def beam_search(
@@ -169,8 +173,11 @@ def beam_search(
     rows of every live hypothesis that can still extend; the candidates'
     scores form one float64 array after the finished hypotheses' scores,
     and `np.partition` finds the k-th highest. Every candidate above it
-    survives; token sequences are compared only among the candidates
-    whose score equals it, and only survivors become Hypothesis objects.
+    survives, and only survivors become Hypothesis objects. `live` stays
+    in ascending token order: each live hypothesis has `step` tokens, and
+    candidates are built parent by parent, allowed tokens ascending, so
+    index order is token order. Ties at the k-th score are taken in index
+    order; token sequences are compared only when a finished one is tied.
     Raises InvalidScores when the scorer's rows have the wrong shape or
     a score at an allowed token is NaN (-inf is legal).
 
@@ -224,7 +231,7 @@ def beam_search(
             j = i - n_done
             return parents[parent[j]].tokens + (int(token[j]),)
 
-        kept = _top_k(keys, k, tokens_of)
+        kept = _top_k(keys, k, n_done, tokens_of)
         finished_at, next_finished, next_live = [], [], []
         for i in kept:
             if i < n_done:

@@ -216,8 +216,8 @@ def prediction_record(
 
 def triplet_lists(record: dict) -> list[list]:
     """The record's lists of triplet objects, checked: one per decoder
-    candidate in rank order when it has "candidates" (no two of the same
-    rank), else its bare "triplets" list (absent: empty)."""
+    candidate in rank order when it has "candidates" (ranks 1..n, as
+    `decode` writes them), else its bare "triplets" list (absent: empty)."""
     if "candidates" not in record:
         return [_triplet_objects(record.get("triplets", []), "triplets")]
     candidates = record["candidates"]
@@ -227,6 +227,9 @@ def triplet_lists(record: dict) -> list[list]:
     ):
         raise ValueError('"candidates" must be objects with an integer "rank" and a "triplets" list')
     ranked = sorted(candidates, key=lambda c: c["rank"])
+    for c in ranked[:1] + ranked[-1:]:
+        if not 1 <= c["rank"] <= len(ranked):
+            raise ValueError(f"rank {c['rank']} outside 1..{len(ranked)}")
     for c, d in zip(ranked, ranked[1:]):
         if c["rank"] == d["rank"]:
             raise ValueError(f"duplicate rank {c['rank']}")

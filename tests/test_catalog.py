@@ -159,6 +159,20 @@ def test_build_determinism_and_structural_equality():
     assert a == build_trie(names, TOK)
 
 
+class _TupleTokenizer(ByteTokenizer):
+    def encode(self, text: str) -> tuple[int, ...]:
+        return tuple(super().encode(text))
+
+
+def test_tokenizer_returning_tuples_is_refused():
+    """`build_trie` fills its token buffer from `encode`'s list in one
+    call, so an `encode` that breaks the Tokenizer contract is named."""
+    names = list(enumerate(rand_names(random.Random(4), 50)))
+    with pytest.raises(CatalogError, match="tokenizer encode returned tuple, not list") as err:
+        build_trie(names, _TupleTokenizer())
+    assert type(err.value) is CatalogError
+
+
 def test_node_count_bound():
     rng = random.Random(11)
     for _ in range(50):

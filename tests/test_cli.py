@@ -797,6 +797,24 @@ def test_candidates_sharing_a_rank_are_refused(tmp_path, catalog_files, capsys, 
     assert_clean_failure(rc, capsys, out, f"{pred}:1: duplicate rank 1")
 
 
+@pytest.mark.parametrize("gold_first", [True, False])
+@pytest.mark.parametrize("ranks, bad", [((7, -3), -3), ((1, 3), 3), ((0, 1), 0)])
+def test_candidate_ranks_outside_one_to_n_are_refused(tmp_path, catalog_files, capsys, gold_first, ranks, bad):
+    """`decode` ranks its n candidates 1..n; any other rank would leave
+    the lowest-ranked set scored as rank 1, so the record is refused."""
+    ent, rel = catalog_files
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS[:1])
+    candidates = [{"rank": ranks[0], "triplets": GOLD_RECORDS[0]["triplets"]}, {"rank": ranks[1], "triplets": []}]
+    if not gold_first:
+        candidates.reverse()
+    pred = docs_file(tmp_path, "pred.jsonl", [{"id": "d1", "candidates": candidates}])
+    out = tmp_path / "report.json"
+    rc = main(
+        ["evaluate", "--gold", gold, "--pred", pred, "--entities", ent, "--relations", rel, "--out", str(out)]
+    )
+    assert_clean_failure(rc, capsys, out, f"{pred}:1: rank {bad} outside 1..2")
+
+
 def test_evaluate_deeply_nested_prediction(tmp_path, catalog_files, capsys):
     ent, rel = catalog_files
     gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)

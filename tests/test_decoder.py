@@ -21,6 +21,7 @@ from factbeam.decoder import (
     Hypothesis,
     InvalidSequence,
     NoCompleteHypothesis,
+    _top_k,
     allowed_tokens,
     beam_search,
 )
@@ -127,6 +128,8 @@ def test_allowed_never_empty_for_live_fuzz():
             for t in h.tokens:
                 allowed = allowed_tokens(cur, tries, cfg)
                 assert allowed, f"empty allowed set at {cur.tokens}"
+                # beam_search's live order, and so its tie rule, rests on this
+                assert allowed == sorted(set(allowed)), f"allowed not ascending at {cur.tokens}"
                 assert t in allowed
                 cur = _extend_public(cur, t, tries)
 
@@ -438,7 +441,31 @@ def _search(search, text, scorer, tries, cfg):
         return None, exc.best_partial
 
 
-def test_array_step_equals_object_reference():
+def test_array_step_equals_object_reference(monkeypatch):
+    """Also checks the beam's live order: `allowed_tokens` is called once
+    per live hypothesis in `live` order, so each step's prefixes must come
+    ascending; and token tuples are compared only when a finished
+    hypothesis is tied at the k-th score, which these cases reach."""
+    import factbeam.decoder
+
+    asked = []  # each allowed_tokens call's prefix, in call order
+    finished_tied = 0  # _top_k calls that compared token tuples
+
+    def recording_allowed_tokens(h, tries, cfg):
+        asked.append(h.tokens)
+        return allowed_tokens(h, tries, cfg)
+
+    def counting_top_k(keys, k, n_done, tokens_of):
+        nonlocal finished_tied
+        compared = []
+        kept = _top_k(keys, k, n_done, lambda i: compared.append(i) or tokens_of(i))
+        assert not compared or min(compared) < n_done
+        finished_tied += bool(compared)
+        assert kept == sorted(kept)
+        return kept
+
+    monkeypatch.setattr(factbeam.decoder, "allowed_tokens", recording_allowed_tokens)
+    monkeypatch.setattr(factbeam.decoder, "_top_k", counting_top_k)
     rng = random.Random(83)
     raised = tied = 0
     for case in range(420):
@@ -464,7 +491,9 @@ def test_array_step_equals_object_reference():
             allow_empty_set=rng.random() < 0.5,
             max_triplets=rng.choice((None, 1, 2)),
         )
+        asked.clear()
         got, got_partial = _search(beam_search, "ctx", scorer, tries, cfg)
+        assert asked == sorted(set(asked), key=lambda prefix: (len(prefix), prefix)), (case, cfg)
         want, want_partial = _search(ref_beam_search, "ctx", scorer, tries, cfg)
         assert got == want, (case, cfg)
         assert got_partial == want_partial, (case, cfg)
@@ -473,7 +502,25 @@ def test_array_step_equals_object_reference():
         else:
             scores = [h.score(cfg.length_alpha) for h in want]
             tied += len(scores) != len(set(scores))
-    assert raised >= 40 and tied >= 40, (raised, tied)
+    assert raised >= 40 and tied >= 40 and finished_tied > 0, (raised, tied, finished_tied)
+
+
+def test_top_k_orders_a_tied_finished_hypothesis_by_tokens():
+    """Index 0 is finished, the rest are live candidates in token order.
+    At k=2 three entries tie at the k-th key and one slot is left: the
+    finished (EOS,) sorts after (SUB, 9), so index order would be wrong."""
+    seqs = [(EOS,), (SUB, 9), (SUB, 12), (SUB, 15)]
+    keys = np.array([-2.0, -2.0, -1.0, -2.0])
+    assert _top_k(keys, 2, 1, seqs.__getitem__) == [1, 2]
+    assert _top_k(keys, 3, 1, seqs.__getitem__) == [1, 2, 3]
+    assert _top_k(keys, 4, 1, seqs.__getitem__) == [0, 1, 2, 3]
+
+    def never(i):
+        raise AssertionError(f"tokens compared at {i} with no finished hypothesis tied")
+
+    keys[0] = -5.0  # no finished hypothesis tied: live ties go by index
+    assert _top_k(keys, 2, 1, never) == [1, 2]
+    assert _top_k(np.array([-2.0, -1.0, -2.0, -2.0]), 3, 0, never) == [0, 1, 2]
 
 
 class _NaNScorer:
