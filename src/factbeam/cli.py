@@ -233,6 +233,8 @@ def _write_bucket_table(path: Path, buckets: Mapping[int, tuple[float, int]]) ->
 def cmd_evaluate(args: argparse.Namespace, stage: Stage) -> dict[str, str]:
     if args.bucket_table and not args.counts:
         raise ValueError("--bucket-table needs --counts")
+    if args.bootstrap < 0:
+        raise ValueError(f"--bootstrap must be >= 0, got {args.bootstrap}")
     cat = load_catalog(args.entities, args.relations)
     pairs = _eval_pairs(read_documents(args.gold, cat), args.pred, cat)
     scores = score_report(pairs, cat, args.macro_mode)

@@ -8,7 +8,7 @@ finished sequence parses with zero diagnostics.
 
 The model is any `Scorer`: one method, `next_log_probs(context,
 prefixes)`, which each beam step calls once with the prefixes of all its
-live hypotheses.
+live hypotheses. Each hypothesis stores the score the beam ranked it by.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from .tokens import EOS, ET, GRAMMAR, NUM_SPECIAL, SUB, Tokenizer
 
 
 class Scorer(Protocol):
-    """Next-token distribution contract: one call scores a whole beam step.
+    """Next-token distribution contract: one call scores a whole beam step,
+    every live hypothesis in it, a dead end (no allowed token) included.
 
     `next_log_probs(context, prefixes)` returns a (len(prefixes),
     vocab_size) array whose row i is the log-prob vector after
@@ -62,28 +63,26 @@ class DecodeConfig:
 class Hypothesis(NamedTuple):
     """A beam entry. `marker` is the last marker emitted: the opener of
     the name being read (a GRAMMAR key), ET between blocks and at the
-    start, EOS once finished. `beam_search` keeps its live entries in
-    ascending `tokens` order, and compares `tokens` only when a finished
-    entry is tied."""
+    start, EOS once finished. `score` is the key the beam ranks by,
+    log_prob / len(tokens) ** length_alpha, set once when the entry is
+    made. `beam_search` keeps its live entries in ascending `tokens`
+    order, and compares `tokens` only when a finished entry is tied."""
 
     tokens: tuple[int, ...] = ()
     log_prob: float = 0.0
     marker: int = ET
     cursor: int | None = None  # trie node while inside a name segment
     n_triplets: int = 0
+    score: float = 0.0
 
     @property
     def finished(self) -> bool:
         return self.marker == EOS
 
-    def score(self, length_alpha: float) -> float:
-        if length_alpha == 0.0 or not self.tokens:
-            return self.log_prob
-        return self.log_prob / len(self.tokens) ** length_alpha
-
 
 class NoCompleteHypothesis(RuntimeError):
-    """Raised when the beam exhausts max_len with no finished sequence."""
+    """Raised when the beam ends with no finished sequence: max_len ran
+    out, or at some step no hypothesis could extend (a dead end)."""
 
     def __init__(self, message: str, best_partial: Hypothesis | None) -> None:
         super().__init__(message)
@@ -125,16 +124,19 @@ def allowed_tokens(
 
 
 def _extend(
-    h: Hypothesis, token: int, lp: float, tries: tuple[TokenTrie, TokenTrie]
+    h: Hypothesis, token: int, lp: float, score: float,
+    tries: tuple[TokenTrie, TokenTrie],
 ) -> Hypothesis:
     tokens = h.tokens + (token,)
     log_prob = h.log_prob + lp
     if token >= NUM_SPECIAL:
         cursor = tries[GRAMMAR[h.marker][1]].child(h.cursor, token)
-        return Hypothesis(tokens, log_prob, h.marker, cursor, h.n_triplets)
+        return Hypothesis(tokens, log_prob, h.marker, cursor, h.n_triplets, score)
     if token in GRAMMAR:  # a marker that opens a name
-        return Hypothesis(tokens, log_prob, token, tries[GRAMMAR[token][1]].ROOT, h.n_triplets)
-    return Hypothesis(tokens, log_prob, token, None, h.n_triplets + (token == ET))
+        return Hypothesis(
+            tokens, log_prob, token, tries[GRAMMAR[token][1]].ROOT, h.n_triplets, score
+        )
+    return Hypothesis(tokens, log_prob, token, None, h.n_triplets + (token == ET), score)
 
 
 def _top_k(keys: np.ndarray, k: int, n_done: int, tokens_of: Callable[[int], tuple[int, ...]]) -> list[int]:
@@ -170,86 +172,79 @@ def beam_search(
     probabilities restricted to valid sequences.
 
     Each step is array code. One `scorer.next_log_probs` call gives the
-    rows of every live hypothesis that can still extend; the candidates'
-    scores form one float64 array after the finished hypotheses' scores,
-    and `np.partition` finds the k-th highest. Every candidate above it
-    survives, and only survivors become Hypothesis objects. `live` stays
-    in ascending token order: each live hypothesis has `step` tokens, and
-    candidates are built parent by parent, allowed tokens ascending, so
-    index order is token order. Ties at the k-th score are taken in index
-    order; token sequences are compared only when a finished one is tied.
-    Raises InvalidScores when the scorer's rows have the wrong shape or
-    a score at an allowed token is NaN (-inf is legal).
+    rows of every live hypothesis; one with no allowed token (a dead
+    end, which only a degenerate config makes) gets a row and makes no
+    candidate. The candidates' scores form one float64 array after the
+    finished hypotheses' stored scores, and `np.partition` finds the
+    k-th highest. Every candidate above it survives, and only survivors
+    become Hypothesis objects, each storing the score it was ranked by.
+    `live` stays in ascending token order: each live hypothesis has
+    `step` tokens, and candidates are built parent by parent, allowed
+    tokens ascending, so index order is token order. Ties at the k-th
+    score are taken in index order; token sequences are compared only
+    when a finished one is tied. Raises InvalidScores when the scorer's
+    rows have the wrong shape or a score at an allowed token is NaN
+    (-inf is legal).
 
-    Raises NoCompleteHypothesis if nothing finishes; the exception
-    carries the best partial hypothesis for debugging.
+    Raises NoCompleteHypothesis if nothing finishes: when max_len runs
+    out, the exception carries the best partial hypothesis for
+    debugging; at a dead end it names the step and carries None.
     """
     k, alpha = cfg.beam_size, cfg.length_alpha
 
     def sort_key(h: Hypothesis) -> tuple[float, tuple[int, ...]]:
-        return (-h.score(alpha), h.tokens)
+        return (-h.score, h.tokens)
 
     live: list[Hypothesis] = [Hypothesis()]
     finished: list[Hypothesis] = []
-    finished_keys = np.empty(0)
     for step in range(cfg.max_len):
-        if not live:
-            break
-        parents: list[Hypothesis] = []
-        allowed: list[list[int]] = []
-        for h in live:
-            tokens = allowed_tokens(h, tries, cfg)
-            if tokens:
-                parents.append(h)
-                allowed.append(tokens)
+        allowed = [allowed_tokens(h, tries, cfg) for h in live]
         sizes = [len(tokens) for tokens in allowed]
-        parent = np.repeat(np.arange(len(parents)), sizes)
+        parent = np.repeat(np.arange(len(live)), sizes)
         token = np.fromiter(itertools.chain.from_iterable(allowed), np.intp, sum(sizes))
-        lps = np.empty(0)
-        if parents:
-            rows = np.asarray(scorer.next_log_probs(text, [h.tokens for h in parents]))
-            expected = (len(parents), scorer.vocab_size)
-            if rows.shape != expected:
-                raise InvalidScores(f"scorer returned shape {rows.shape}, expected {expected}")
-            lps = rows[parent, token].astype(np.float64, copy=False)
-        scores = np.fromiter((h.log_prob for h in parents), np.float64, len(parents))[parent] + lps
+        rows = np.asarray(scorer.next_log_probs(text, [h.tokens for h in live]))
+        expected = (len(live), scorer.vocab_size)
+        if rows.shape != expected:
+            raise InvalidScores(f"scorer returned shape {rows.shape}, expected {expected}")
+        lps = rows[parent, token].astype(np.float64, copy=False)
+        scores = np.fromiter((h.log_prob for h in live), np.float64, len(live))[parent] + lps
         nan = np.flatnonzero(np.isnan(scores))
         if len(nan):
             bad = int(nan[0])
             raise InvalidScores(
                 f"NaN score at step {step} for allowed token {token[bad]} "
-                f"after prefix {parents[parent[bad]].tokens}"
+                f"after prefix {live[parent[bad]].tokens}"
             )
-        if alpha != 0.0:
-            scores /= (step + 1) ** alpha
-        keys = np.concatenate((finished_keys, scores))
+        scores /= (step + 1) ** alpha
         n_done = len(finished)
+        keys = np.concatenate((np.fromiter((h.score for h in finished), np.float64, n_done), scores))
 
         def tokens_of(i: int) -> tuple[int, ...]:
             if i < n_done:
                 return finished[i].tokens
             j = i - n_done
-            return parents[parent[j]].tokens + (int(token[j]),)
+            return live[parent[j]].tokens + (int(token[j]),)
 
         kept = _top_k(keys, k, n_done, tokens_of)
-        finished_at, next_finished, next_live = [], [], []
+        next_finished, next_live = [], []
         for i in kept:
             if i < n_done:
                 h = finished[i]
             else:
                 j = i - n_done
-                h = _extend(parents[parent[j]], int(token[j]), float(lps[j]), tries)
+                h = _extend(live[parent[j]], int(token[j]), float(lps[j]), float(scores[j]), tries)
             if h.finished:
-                finished_at.append(i)
                 next_finished.append(h)
             else:
                 next_live.append(h)
-        finished_keys = keys[finished_at]
         finished, live = next_finished, next_live
+        if not live:
+            break
     if not finished:
-        best = min(live, key=sort_key) if live else None
+        if not live:
+            raise NoCompleteHypothesis(f"dead end at step {step}: no hypothesis could extend", None)
         raise NoCompleteHypothesis(
-            f"no sequence finished within max_len={cfg.max_len}", best
+            f"no sequence finished within max_len={cfg.max_len}", min(live, key=sort_key)
         )
     return sorted(finished, key=sort_key)
 

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping, TypeVar
 import numpy as np
 
 from .catalog import Catalog, CatalogError, TokenTrie, add_name
-from .linearize import MentionedTriplet, Triplet
+from .linearize import MentionedTriplet, Triplet, check_span
 from .tokens import NUM_SPECIAL
 
 log = logging.getLogger("factbeam")
@@ -267,14 +267,14 @@ def read_prediction_sets(path: str | Path, cat: Catalog) -> dict[str, frozenset[
 
 
 def read_mentions(path: str | Path) -> dict[str, list[tuple[int, int]]]:
-    """Predicted mention spans per document: {"id", "spans": [[s, e], ...]}."""
+    """Predicted mention spans per document: {"id", "spans": [[s, e], ...]},
+    each span held to the rule for gold spans (0 <= s < e)."""
 
     def parse(doc_id: str, record: dict) -> list[tuple[int, int]]:
         raw = record.get("spans", [])
-        if not isinstance(raw, list):
+        if not isinstance(raw, list) or None in raw:
             raise ValueError('"spans" must be a list of [start, end] pairs')
-        spans = [_span(s, doc_id) for s in raw]
-        return [s for s in spans if s is not None]
+        return [check_span(_span(s, doc_id)) for s in raw]
 
     return read_jsonl(path, parse)
 

@@ -45,8 +45,16 @@ class MentionedTriplet:
 
     def __post_init__(self) -> None:
         for span in (self.subject_span, self.object_span):
-            if span is not None and not (0 <= span[0] < span[1]):
-                raise ValueError(f"invalid mention span {span}")
+            if span is not None:
+                check_span(span)
+
+
+def check_span(span: tuple[int, int]) -> tuple[int, int]:
+    """`span` if it is a mention span, half-open and non-empty
+    (0 <= start < end); ValueError otherwise."""
+    if not 0 <= span[0] < span[1]:
+        raise ValueError(f"invalid mention span {span}")
+    return span
 
 
 @dataclass(frozen=True)

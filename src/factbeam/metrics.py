@@ -289,6 +289,8 @@ def bootstrap_ci(
     """
     if B < 1:
         raise ValueError("B must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not pairs:
         raise ValueError("cannot bootstrap an empty corpus")
     rng = np.random.default_rng(seed)

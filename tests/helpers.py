@@ -264,30 +264,32 @@ def oracle_best_sequence(
 # (not merely close) hypotheses.
 
 
-def _ref_extend(h: Hypothesis, token: int, lp: float, tries) -> Hypothesis:
+def _ref_extend(h: Hypothesis, token: int, lp: float, tries, alpha: float) -> Hypothesis:
     entity_trie, relation_trie = tries
     tokens = h.tokens + (token,)
     log_prob = h.log_prob + lp
+    score = log_prob / len(tokens) ** alpha
     if token == SUB:
-        return Hypothesis(tokens, log_prob, SUB, entity_trie.ROOT, h.n_triplets)
+        return Hypothesis(tokens, log_prob, SUB, entity_trie.ROOT, h.n_triplets, score)
     if token == REL:
-        return Hypothesis(tokens, log_prob, REL, relation_trie.ROOT, h.n_triplets)
+        return Hypothesis(tokens, log_prob, REL, relation_trie.ROOT, h.n_triplets, score)
     if token == OBJ:
-        return Hypothesis(tokens, log_prob, OBJ, entity_trie.ROOT, h.n_triplets)
+        return Hypothesis(tokens, log_prob, OBJ, entity_trie.ROOT, h.n_triplets, score)
     if token == ET:
-        return Hypothesis(tokens, log_prob, ET, None, h.n_triplets + 1)
+        return Hypothesis(tokens, log_prob, ET, None, h.n_triplets + 1, score)
     if token == EOS:
-        return Hypothesis(tokens, log_prob, EOS, None, h.n_triplets)
+        return Hypothesis(tokens, log_prob, EOS, None, h.n_triplets, score)
     trie = relation_trie if h.marker == REL else entity_trie
-    return Hypothesis(tokens, log_prob, h.marker, trie.child(h.cursor, token), h.n_triplets)
+    return Hypothesis(tokens, log_prob, h.marker, trie.child(h.cursor, token), h.n_triplets, score)
 
 
 def ref_beam_search(text: str, scorer, tries, cfg: DecodeConfig) -> list[Hypothesis]:
-    """Finished hypotheses, best first, by (-score, tokens)."""
+    """Finished hypotheses, best first, by (-score, tokens). Each stores
+    its score, log_prob / len(tokens) ** length_alpha, computed here."""
     k = cfg.beam_size
 
     def sort_key(h: Hypothesis) -> tuple[float, tuple[int, ...]]:
-        return (-h.score(cfg.length_alpha), h.tokens)
+        return (-h.score, h.tokens)
 
     live: list[Hypothesis] = [Hypothesis()]
     finished: list[Hypothesis] = []
@@ -301,7 +303,7 @@ def ref_beam_search(text: str, scorer, tries, cfg: DecodeConfig) -> list[Hypothe
                 continue
             log_probs = scorer.next_log_probs(text, [h.tokens])[0]
             for t in sorted(allowed):
-                pool.append(_ref_extend(h, t, float(log_probs[t]), tries))
+                pool.append(_ref_extend(h, t, float(log_probs[t]), tries, cfg.length_alpha))
         pool.sort(key=sort_key)
         kept = pool[:k]
         finished = [h for h in kept if h.marker == EOS]

@@ -200,6 +200,19 @@ def test_decode_tries_from_other_catalog(tmp_path, catalog_files, capsys, names)
     assert_clean_failure(rc, capsys, out, not_built_from(tries / "entity.trie", ent))
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--max-triplets", "0"], "dead end at step 0: no hypothesis could extend"),
+    (["--max-len", "3"], "no sequence finished within max_len=3"),
+])
+def test_decode_failure_names_its_cause(tmp_path, catalog_files, flags, error):
+    """A document the beam cannot finish gets a record with no candidates
+    and the reason: a dead end names its step, a spent max_len its bound."""
+    docs = docs_file(tmp_path, "docs.jsonl", [{"id": "d1", "input": "The Tiber."}])
+    rc, out = run_decode(tmp_path, catalog_files, docs, ["--scorer", "uniform", "--no-empty-set", *flags])
+    assert rc == 0
+    assert read_records(out) == {"d1": {"id": "d1", "candidates": [], "error": error}}
+
+
 def test_decode_tries_unbound(tmp_path, catalog_files, capsys):
     """An artifact saved from Python carries an all-zero digest, which
     no catalog file matches."""
@@ -479,6 +492,19 @@ def test_evaluate_bootstrap_without_gold_documents_warns(tmp_path, catalog_files
         ("factbeam", "WARNING", f"{gold}: no gold documents, bootstrap skipped")
     ]
     assert "bootstrap" not in json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--bootstrap", "-3"], "--bootstrap must be >= 0, got -3"),
+    (["--bootstrap", "10", "--seed", "-1"], "seed must be >= 0, got -1"),
+])
+def test_evaluate_refuses_negative_bootstrap_flags(tmp_path, catalog_files, capsys, flags, message):
+    ent, rel = catalog_files
+    gold = docs_file(tmp_path, "gold.jsonl", GOLD_RECORDS)
+    out = tmp_path / "report.json"
+    rc = main(["evaluate", "--gold", gold, "--pred", gold, "--entities", ent, "--relations", rel,
+               *flags, "--out", str(out)])
+    assert_clean_failure(rc, capsys, out, message)
 
 
 def expected_bucket_rows():
@@ -1014,6 +1040,29 @@ def test_attribute_bad_spans_value(tmp_path, catalog_files, capsys):
     assert_clean_failure(
         rc, capsys, out, f'{mentions}:1: "spans" must be a list of [start, end] pairs'
     )
+
+
+@pytest.mark.parametrize("span", [[5, 0], [-3, -1], [4, 4]])
+@pytest.mark.parametrize("where", ["gold", "mentions"])
+def test_attribute_refuses_invalid_span(tmp_path, catalog_files, capsys, where, span):
+    """A predicted mention span is held to the gold span rule, and refused
+    with the same message."""
+    ent, rel = catalog_files
+    gold_records = copy.deepcopy(SPANNED_GOLD_RECORDS)
+    mention_spans = [[0, 1]]
+    if where == "gold":
+        gold_records[0]["triplets"][0]["sub_span"] = span
+    else:
+        mention_spans.append(span)
+    gold = docs_file(tmp_path, "gold.jsonl", gold_records)
+    mentions = docs_file(tmp_path, "mentions.jsonl", [{"id": "d1", "spans": mention_spans}])
+    out = tmp_path / "attr.json"
+    rc = main(
+        ["attribute", "--gold", gold, "--pred", gold, "--entities", ent, "--relations", rel,
+         "--mentions", mentions, "--out", str(out)]
+    )
+    path = gold if where == "gold" else mentions
+    assert_clean_failure(rc, capsys, out, f"{path}:1: invalid mention span {tuple(span)}")
 
 
 def test_attribute_overflowing_span(tmp_path, catalog_files, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 
@@ -137,7 +139,7 @@ def test_allowed_never_empty_for_live_fuzz():
 def _extend_public(h, t, tries):
     from factbeam.decoder import _extend
 
-    return _extend(h, t, 0.0, tries)
+    return _extend(h, t, 0.0, 0.0, tries)
 
 
 def test_every_linearization_walks_the_decoder_grammar():
@@ -269,12 +271,23 @@ def test_empty_set_only_for_empty_catalog():
 
 
 def test_no_complete_hypothesis_carries_best_partial():
-    with pytest.raises(NoCompleteHypothesis) as exc_info:
+    with pytest.raises(NoCompleteHypothesis, match=r"^no sequence finished within max_len=3$") as exc_info:
         beam_search("", UniformScorer(V), TRIES, DecodeConfig(beam_size=2, max_len=3, allow_empty_set=False))
     partial = exc_info.value.best_partial
     assert partial is not None
     assert not partial.finished
     assert len(partial.tokens) == 3
+
+
+@pytest.mark.parametrize("empty_relations", [False, True])
+def test_dead_end_names_its_step(empty_relations):
+    """With no empty set allowed, a config that can open no block (no
+    triplet allowed, or an empty class) leaves the start with no token."""
+    tries = (TRIES[0], build_trie([], TOK)) if empty_relations else TRIES
+    cfg = DecodeConfig(beam_size=2, allow_empty_set=False, max_triplets=None if empty_relations else 0)
+    with pytest.raises(NoCompleteHypothesis, match=r"^dead end at step 0: no hypothesis could extend$") as exc_info:
+        beam_search("", UniformScorer(V), tries, cfg)
+    assert exc_info.value.best_partial is None
 
 
 def test_duplicate_sets_can_appear_in_results():
@@ -335,7 +348,9 @@ def test_length_alpha_changes_ranking():
     raw = beam_search("", UniformScorer(V), tries, DecodeConfig(beam_size=3, max_len=30, max_triplets=1))
     norm = beam_search("", UniformScorer(V), tries, DecodeConfig(beam_size=3, max_len=30, max_triplets=1, length_alpha=1.0))
     assert raw[0].tokens == (EOS,)
-    assert all(h.score(1.0) == pytest.approx(raw[0].score(1.0)) for h in norm)
+    assert raw[0].score == raw[0].log_prob
+    # every token costs the same, so every normalized score ties with the empty set's
+    assert all(h.score == pytest.approx(raw[0].log_prob) for h in norm)
 
 
 # --- the surface the traced benchmark run decodes through ---------------------
@@ -444,8 +459,11 @@ def _search(search, text, scorer, tries, cfg):
 def test_array_step_equals_object_reference(monkeypatch):
     """Also checks the beam's live order: `allowed_tokens` is called once
     per live hypothesis in `live` order, so each step's prefixes must come
-    ascending; and token tuples are compared only when a finished
-    hypothesis is tied at the k-th score, which these cases reach."""
+    ascending; that each step makes one scorer call with exactly those
+    prefixes, a dead end's included; and that token tuples are compared
+    only when a finished hypothesis is tied at the k-th score, which these
+    cases reach. The last 40 cases forbid the empty set and can open no
+    block (no triplet allowed, or an empty relation class): dead ends."""
     import factbeam.decoder
 
     asked = []  # each allowed_tokens call's prefix, in call order
@@ -467,8 +485,8 @@ def test_array_step_equals_object_reference(monkeypatch):
     monkeypatch.setattr(factbeam.decoder, "allowed_tokens", recording_allowed_tokens)
     monkeypatch.setattr(factbeam.decoder, "_top_k", counting_top_k)
     rng = random.Random(83)
-    raised = tied = 0
-    for case in range(420):
+    raised = dead = tied = 0
+    for case in range(460):
         cat = rand_catalog(rng, 4, 3, 1, 3)
         tries = make_tries(cat)
         kind = case % 4
@@ -491,18 +509,27 @@ def test_array_step_equals_object_reference(monkeypatch):
             allow_empty_set=rng.random() < 0.5,
             max_triplets=rng.choice((None, 1, 2)),
         )
+        if case >= 420 and case % 2:
+            cfg = dataclasses.replace(cfg, allow_empty_set=False, max_triplets=0)
+        elif case >= 420:
+            cfg = dataclasses.replace(cfg, allow_empty_set=False)
+            tries = (tries[0], build_trie([], TOK))
         asked.clear()
-        got, got_partial = _search(beam_search, "ctx", scorer, tries, cfg)
+        narrow = _NarrowScorer(scorer)
+        got, got_partial = _search(beam_search, "ctx", narrow, tries, cfg)
         assert asked == sorted(set(asked), key=lambda prefix: (len(prefix), prefix)), (case, cfg)
+        assert narrow.calls == [list(step) for _, step in itertools.groupby(asked, key=len)], (case, cfg)
         want, want_partial = _search(ref_beam_search, "ctx", scorer, tries, cfg)
         assert got == want, (case, cfg)
         assert got_partial == want_partial, (case, cfg)
-        if want is None:
+        if want is not None:
+            scores = [h.score for h in want]
+            tied += len(scores) != len(set(scores))
+        elif want_partial is not None:
             raised += 1
         else:
-            scores = [h.score(cfg.length_alpha) for h in want]
-            tied += len(scores) != len(set(scores))
-    assert raised >= 40 and tied >= 40 and finished_tied > 0, (raised, tied, finished_tied)
+            dead += 1
+    assert raised >= 40 and dead > 0 and tied >= 40 and finished_tied > 0, (raised, dead, tied, finished_tied)
 
 
 def test_top_k_orders_a_tied_finished_hypothesis_by_tokens():

@@ -270,11 +270,20 @@ def test_read_mentions(tmp_path):
     assert read_mentions(path) == {"d1": [(0, 3), (7, 12)], "d2": []}
 
 
-@pytest.mark.parametrize("spans", [None, 5, "ab", {"s": [0, 3]}])
+@pytest.mark.parametrize("spans", [None, 5, "ab", {"s": [0, 3]}, [[0, 3], None]])
 def test_read_mentions_bad_spans_value(tmp_path, spans):
     path = tmp_path / "mentions.jsonl"
     write_jsonl(path, [{"id": "d1", "spans": spans}])
     with pytest.raises(ValueError, match=r':1: "spans" must be a list of \[start, end\] pairs'):
+        read_mentions(path)
+
+
+@pytest.mark.parametrize("span", [[5, 0], [-3, -1], [4, 4]])
+def test_read_mentions_invalid_span(tmp_path, span):
+    """The rule for gold spans: half-open and non-empty, 0 <= start < end."""
+    path = tmp_path / "mentions.jsonl"
+    write_jsonl(path, [{"id": "d1", "spans": [[0, 3], span]}])
+    with pytest.raises(ValueError, match=rf":1: invalid mention span \({span[0]}, {span[1]}\)$"):
         read_mentions(path)
 
 

@@ -25,6 +25,15 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_sources_parse_as_python_3_10():
+    """pyproject.toml says requires-python >= 3.10, so no file may use
+    syntax a later Python added (`except*`, say)."""
+    paths = sorted(path for top in ("src", "tests", "bench") for path in (ROOT / top).rglob("*.py"))
+    assert len(paths) >= 30
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
 def test_traced_benchmark_names_exist():
     """The traced benchmark run looks package functions up by name in
     `bench/spans.py`'s `API` and `IMPORT_SITES` tables; a renamed or
